@@ -10,10 +10,17 @@
 //! solver-side validator: the two implementations are independent, so a
 //! defect (or an injected fault) in one cannot silently vouch for
 //! itself through the other.
+//!
+//! Long-lived incremental state certifies in two tiers: a full pass
+//! ([`certify_baseline`]) that also seeds a [`DeltaCertifier`], then
+//! per-op delta certificates ([`certify_delta`]) over just the users an
+//! op touched. The delta tier is sound only while every untouched
+//! user's plan row and per-user inputs are unchanged since the last
+//! certification the certifier saw (see [`DeltaCertifier`]).
 
 use crate::model::{EventId, Instance, UserId};
 use crate::plan::Plan;
-use epplan_solve::{certify_plan, Certificate, PlanView};
+use epplan_solve::{certify_plan, Certificate, DeltaCertifier, DeltaCommit, PlanView};
 
 /// Adapter exposing an instance/plan pair through the checker's
 /// [`PlanView`] interface.
@@ -84,6 +91,33 @@ pub fn certify_incremental(instance: &Instance, old: &Plan, new: &Plan) -> Certi
         })
         .collect();
     certify_plan(&CertView { instance, plan: new }, Some(&baseline))
+}
+
+/// [`certify`] (the same full pass and verdict) that also remembers
+/// `plan` as the baseline for later [`certify_delta`] calls.
+pub fn certify_baseline(instance: &Instance, plan: &Plan) -> (Certificate, DeltaCertifier) {
+    let _sp = epplan_obs::span("solve.certify");
+    DeltaCertifier::new(&CertView { instance, plan })
+}
+
+/// Delta certificate of `plan`: re-checks only the `touched` users and
+/// every event's bounds against the certifier's baseline, with `dif`
+/// recomputed against the baseline plan. It equals
+/// `certify_incremental(instance, baseline, plan)` whenever every
+/// untouched user's row and inputs are unchanged since the baseline
+/// (e.g. `touched` = [`StepOutcome::touched_users`] of the one step
+/// since). Pass the returned commit to [`DeltaCertifier::commit`] to
+/// make `plan` the new baseline.
+///
+/// [`StepOutcome::touched_users`]: crate::incremental::StepOutcome::touched_users
+pub fn certify_delta(
+    certifier: &DeltaCertifier,
+    instance: &Instance,
+    plan: &Plan,
+    touched: &[UserId],
+) -> (Certificate, DeltaCommit) {
+    let touched: Vec<usize> = touched.iter().map(|u| u.index()).collect();
+    certifier.certify(&CertView { instance, plan }, &touched)
 }
 
 #[cfg(test)]

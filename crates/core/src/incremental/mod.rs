@@ -11,27 +11,29 @@
 //!
 //! with every other operation reducible to them (Section IV's opening
 //! discussion: "solving for all other atomic operations can be reduced
-//! to one of these"). [`IncrementalPlanner::apply`] performs the
-//! dispatch, mutating a **clone** of the instance and the plan, and
-//! reports the negative impact `dif(P, P′)` together with the new
-//! global utility.
+//! to one of these"). [`step`] performs the dispatch **in place** on
+//! the live instance and plan, journaling every change so a rejected
+//! step rolls back exactly; [`IncrementalPlanner`] wraps it for callers
+//! that want the updated state as a copy, reporting the negative
+//! impact `dif(P, P′)` together with the new global utility.
 
 mod eta_decrease;
 mod exact_iep;
 pub(crate) mod repair;
+mod step;
 mod time_change;
 mod xi_increase;
 
 pub use eta_decrease::eta_decrease;
 pub use exact_iep::{exact_iep, ExactIepResult};
+pub use step::{apply_in_place, step, InstanceUndo, StepOutcome};
 pub use time_change::{time_change, TimeChangeOutcome};
 pub use xi_increase::{xi_increase, XiIncreaseOutcome};
 
 use crate::model::{Event, EventId, Instance, TimeInterval, UserId};
 use crate::plan::{dif, Plan};
-use crate::solver::filler;
 use epplan_geo::Point;
-use epplan_solve::{BudgetGuard, SolveBudget, SolveError};
+use epplan_solve::{SolveBudget, SolveError};
 use serde::{Deserialize, Serialize};
 
 const STAGE: &str = "core.incremental";
@@ -396,29 +398,14 @@ impl IncrementalPlanner {
         plan: &Plan,
         op: &AtomicOp,
     ) -> Result<IncrementalOutcome, SolveError<IncrementalOutcome>> {
-        if let Err(e) = Self::validate_op(instance, op) {
-            return Err(e
-                .discard_partial()
-                .with_partial(Self::unchanged_outcome(instance, plan)));
-        }
-        // Deterministic fault injection in front of the repair dispatch
-        // (serial entry point, hit count thread-invariant). The error
-        // degrades to the unchanged plan like any other IEP failure.
-        if let Some(action) = epplan_fault::point("core.iep.apply") {
-            return Err(SolveError::from_fault(STAGE, "core.iep.apply", action)
-                .with_partial(Self::unchanged_outcome(instance, plan)));
-        }
-        Ok(self.apply_validated(instance, plan, op))
+        Self::step_copy(instance, plan, op, None)
     }
 
     /// [`IncrementalPlanner::try_apply`] under a per-operation
-    /// [`SolveBudget`]: the serving layer's entry point. The budget is
-    /// enforced at the operation granularity — one guard tick up front
-    /// (so iteration caps and pre-expired zero allowances trip
-    /// deterministically before any work) and a deadline check after
-    /// the repair. A tripped budget returns the usual retryable
-    /// `BudgetExhausted` error carrying the **unchanged** state as the
-    /// partial, never a half-repaired plan.
+    /// [`SolveBudget`] (see [`step`] for how it is enforced). A tripped
+    /// budget returns the usual retryable `BudgetExhausted` error
+    /// carrying the **unchanged** state as the partial, never a
+    /// half-repaired plan.
     pub fn try_apply_budgeted(
         &self,
         instance: &Instance,
@@ -426,81 +413,40 @@ impl IncrementalPlanner {
         op: &AtomicOp,
         budget: SolveBudget,
     ) -> Result<IncrementalOutcome, SolveError<IncrementalOutcome>> {
-        let mut guard = BudgetGuard::new(budget);
-        if let Err(e) = guard.tick(STAGE) {
-            return Err(e
-                .discard_partial()
-                .with_partial(Self::unchanged_outcome(instance, plan)));
-        }
-        let out = self.try_apply(instance, plan, op)?;
-        match guard.check_deadline(STAGE) {
-            Ok(()) => Ok(out),
-            // The repair finished but blew the deadline: report the
-            // exhaustion, offer the unchanged pre-op state — the repair
-            // result must not leak past a broken budget contract.
+        Self::step_copy(instance, plan, op, Some(budget))
+    }
+
+    /// [`step`] on copies of the inputs.
+    fn step_copy(
+        instance: &Instance,
+        plan: &Plan,
+        op: &AtomicOp,
+        budget: Option<SolveBudget>,
+    ) -> Result<IncrementalOutcome, SolveError<IncrementalOutcome>> {
+        let mut inst = instance.clone();
+        let mut next = plan.clone();
+        match step(&mut inst, &mut next, op, budget) {
+            Ok(out) => Ok(Self::outcome(inst, next, out.dif)),
             Err(e) => Err(e
                 .discard_partial()
                 .with_partial(Self::unchanged_outcome(instance, plan))),
         }
     }
 
-    /// The pure state transition of `op` on the instance alone — no
-    /// plan repair, no fault points, no budget. This is the single
-    /// source of truth for "what the world looks like after `op`";
-    /// [`IncrementalPlanner::apply`] composes it with the repair
-    /// algorithms, and the `epplan serve` full-re-solve fallback uses
-    /// it directly when a repair fails and the plan is rebuilt from
-    /// scratch. `op` must already be validated.
-    pub fn apply_to_instance(instance: &Instance, op: &AtomicOp) -> Instance {
-        let mut inst = instance.clone();
-        match op {
-            AtomicOp::EtaDecrease { event, new_upper }
-            | AtomicOp::EtaIncrease { event, new_upper } => {
-                let lower = inst.event(*event).lower.min(*new_upper);
-                inst.set_event_bounds(*event, lower, *new_upper);
-            }
-            AtomicOp::XiIncrease { event, new_lower } => {
-                let upper = inst.event(*event).upper.max(*new_lower);
-                inst.set_event_bounds(*event, *new_lower, upper);
-            }
-            AtomicOp::XiDecrease { event, new_lower } => {
-                let upper = inst.event(*event).upper;
-                inst.set_event_bounds(*event, *new_lower, upper);
-            }
-            AtomicOp::TimeChange { event, new_time } => {
-                inst.set_event_time(*event, *new_time);
-            }
-            AtomicOp::LocationChange { event, new_location } => {
-                inst.set_event_location(*event, *new_location);
-            }
-            AtomicOp::NewEvent { event, utilities } => {
-                inst.add_event(*event, utilities);
-            }
-            AtomicOp::UtilityChange { user, event, new_utility } => {
-                inst.set_utility(*user, *event, *new_utility);
-            }
-            AtomicOp::BudgetChange { user, new_budget } => {
-                inst.set_budget(*user, *new_budget);
-            }
-            AtomicOp::FeeChange { event, new_fee } => {
-                inst.set_event_fee(*event, *new_fee);
-            }
+    /// An outcome around an already-updated state.
+    fn outcome(instance: Instance, plan: Plan, dif: usize) -> IncrementalOutcome {
+        IncrementalOutcome {
+            dif,
+            utility: plan.total_utility(&instance),
+            shortfall: shortfall(&instance, &plan),
+            instance,
+            plan,
         }
-        inst
     }
 
     /// The identity outcome: nothing applied, nothing changed.
     fn unchanged_outcome(instance: &Instance, plan: &Plan) -> IncrementalOutcome {
-        IncrementalOutcome {
-            instance: instance.clone(),
-            plan: plan.clone(),
-            dif: 0,
-            utility: plan.total_utility(instance),
-            shortfall: instance
-                .event_ids()
-                .filter(|&e| plan.attendance(e) < instance.event(e).lower)
-                .collect(),
-        }
+        Self::outcome(instance.clone(), plan.clone(), 0)
     }
 
     /// Applies `op` to `(instance, plan)` and repairs the plan with the
@@ -522,129 +468,12 @@ impl IncrementalPlanner {
         }
     }
 
-    fn apply_validated(
-        &self,
-        instance: &Instance,
-        plan: &Plan,
-        op: &AtomicOp,
-    ) -> IncrementalOutcome {
-        // Per-operation repair cost: the measurement the incremental
-        // tables (paper §V/§VI) are built from.
-        let mut sp = epplan_obs::span("iep.apply");
-        sp.add_iters(1);
-        epplan_obs::counter_add("iep.ops", 1);
-        // The instance transition is shared with the serving layer's
-        // full-re-solve fallback; only the repair dispatch lives here.
-        let inst = Self::apply_to_instance(instance, op);
-        let mut new_plan = plan.clone();
-
-        match op {
-            AtomicOp::EtaDecrease { event, .. } => {
-                eta_decrease(&inst, &mut new_plan, *event);
-            }
-            AtomicOp::EtaIncrease { event, .. } => {
-                // Pure addition: fill the new capacity, no negative
-                // impact possible.
-                repair::fill_event_to_upper(&inst, &mut new_plan, *event);
-            }
-            AtomicOp::XiIncrease { event, .. } => {
-                xi_increase(&inst, &mut new_plan, *event);
-            }
-            AtomicOp::XiDecrease { .. } => {
-                // The old plan remains feasible: nothing to repair.
-            }
-            AtomicOp::TimeChange { event, .. } => {
-                time_change(&inst, &mut new_plan, *event);
-            }
-            AtomicOp::LocationChange { event, .. } => {
-                // Same repair loop: the removal pass inside
-                // `time_change` re-checks both conflicts and budgets,
-                // and only budgets can newly fail here.
-                time_change(&inst, &mut new_plan, *event);
-            }
-            AtomicOp::NewEvent { .. } => {
-                // `apply_to_instance` appended the event, so it carries
-                // the highest id.
-                let id = EventId((inst.n_events() - 1) as u32);
-                new_plan.resize_events(inst.n_events());
-                // Reduction per the paper: raise the lower bound from 0
-                // (Algorithm 4), then fill spare capacity to η.
-                if inst.event(id).lower > 0 {
-                    xi_increase(&inst, &mut new_plan, id);
-                }
-                repair::fill_event_to_upper(&inst, &mut new_plan, id);
-            }
-            AtomicOp::UtilityChange {
-                user,
-                event,
-                new_utility,
-            } => {
-                if *new_utility <= 0.0 && new_plan.contains(*user, *event) {
-                    // The user can no longer attend (the paper's
-                    // availability example): remove, restore the lower
-                    // bound if broken, and let the user refill.
-                    new_plan.remove(*user, *event);
-                    if new_plan.attendance(*event) < inst.event(*event).lower {
-                        xi_increase(&inst, &mut new_plan, *event);
-                    }
-                    filler::fill_to_upper(&inst, &mut new_plan, Some(&[*user]));
-                } else if *new_utility > 0.0 && !new_plan.contains(*user, *event) {
-                    // Higher interest: take the event if it simply fits.
-                    if new_plan.attendance(*event) < inst.event(*event).upper
-                        && inst.can_attend_with(*user, new_plan.user_plan(*user), *event)
-                    {
-                        new_plan.add(*user, *event);
-                    }
-                }
-            }
-            AtomicOp::FeeChange { event, new_fee } => {
-                let old_fee = instance.event(*event).fee;
-                if *new_fee > old_fee {
-                    // Same repair loop as a venue move: the removal pass
-                    // re-checks budgets (now including the higher fee)
-                    // and refills toward ξ/η.
-                    time_change(&inst, &mut new_plan, *event);
-                } else if *new_fee < old_fee {
-                    // Cheaper event: purely additive refill.
-                    repair::fill_event_to_upper(&inst, &mut new_plan, *event);
-                }
-            }
-            AtomicOp::BudgetChange { user, new_budget } => {
-                let old_budget = instance.user(*user).budget;
-                if *new_budget < old_budget {
-                    let dropped = repair::shed_to_budget(&inst, &mut new_plan, *user);
-                    for e in dropped {
-                        if new_plan.attendance(e) < inst.event(e).lower {
-                            xi_increase(&inst, &mut new_plan, e);
-                        }
-                    }
-                    // A cheaper event might still fit the shrunken
-                    // budget.
-                    filler::fill_to_upper(&inst, &mut new_plan, Some(&[*user]));
-                } else if *new_budget > old_budget {
-                    filler::fill_to_upper(&inst, &mut new_plan, Some(&[*user]));
-                }
-            }
-        }
-
-        let utility = new_plan.total_utility(&inst);
-        let shortfall = inst
-            .event_ids()
-            .filter(|&e| new_plan.attendance(e) < inst.event(e).lower)
-            .collect();
-        IncrementalOutcome {
-            dif: dif(plan, &new_plan),
-            utility,
-            shortfall,
-            instance: inst,
-            plan: new_plan,
-        }
-    }
-
     /// Applies a sequence of atomic operations one at a time — the
     /// paper's treatment for multiple changes ("the case where multiple
     /// atomic operations take place is treated here as running the
-    /// incremental version multiple times", Section II-B).
+    /// incremental version multiple times", Section II-B). One copy of
+    /// the inputs is stepped in place; a malformed operation leaves it
+    /// unchanged and records a `dif` of 0.
     ///
     /// [`BatchOutcome::step_difs`] holds each run's individual `dif`;
     /// [`BatchOutcome::net_dif`] compares the final plan against the
@@ -657,29 +486,11 @@ impl IncrementalPlanner {
     ) -> BatchOutcome {
         let mut inst = instance.clone();
         let mut cur = plan.clone();
-        let mut step_difs = Vec::with_capacity(ops.len());
-        for op in ops {
-            let out = self.apply(&inst, &cur, op);
-            step_difs.push(out.dif);
-            inst = out.instance;
-            cur = out.plan;
-        }
-        let utility = cur.total_utility(&inst);
-        let shortfall = inst
-            .event_ids()
-            .filter(|&e| cur.attendance(e) < inst.event(e).lower)
+        let step_difs = ops
+            .iter()
+            .map(|op| step(&mut inst, &mut cur, op, None).map_or(0, |out| out.dif))
             .collect();
-        // The original plan may cover fewer events than the final one
-        // (NewEvent ops); `dif` handles that asymmetry.
-        let net_dif = dif(plan, &cur);
-        BatchOutcome {
-            instance: inst,
-            plan: cur,
-            net_dif,
-            step_difs,
-            utility,
-            shortfall,
-        }
+        Self::batch_outcome(plan, inst, cur, step_difs)
     }
 
     /// Fallible variant of [`IncrementalPlanner::apply_batch`]: stops at
@@ -697,12 +508,8 @@ impl IncrementalPlanner {
         let mut step_difs = Vec::with_capacity(ops.len());
         let mut failure: Option<SolveError<()>> = None;
         for (k, op) in ops.iter().enumerate() {
-            match self.try_apply(&inst, &cur, op) {
-                Ok(out) => {
-                    step_difs.push(out.dif);
-                    inst = out.instance;
-                    cur = out.plan;
-                }
+            match step(&mut inst, &mut cur, op, None) {
+                Ok(out) => step_difs.push(out.dif),
                 Err(e) => {
                     failure = Some(SolveError::new(
                         e.kind,
@@ -713,25 +520,33 @@ impl IncrementalPlanner {
                 }
             }
         }
-        let utility = cur.total_utility(&inst);
-        let shortfall = inst
-            .event_ids()
-            .filter(|&e| cur.attendance(e) < inst.event(e).lower)
-            .collect();
-        let net_dif = dif(plan, &cur);
-        let outcome = BatchOutcome {
-            instance: inst,
-            plan: cur,
-            net_dif,
-            step_difs,
-            utility,
-            shortfall,
-        };
+        let outcome = Self::batch_outcome(plan, inst, cur, step_difs);
         match failure {
             None => Ok(outcome),
             Some(e) => Err(e.discard_partial().with_partial(outcome)),
         }
     }
+
+    fn batch_outcome(original: &Plan, instance: Instance, plan: Plan, step_difs: Vec<usize>) -> BatchOutcome {
+        BatchOutcome {
+            // The original plan may cover fewer events than the final
+            // one (NewEvent ops); `dif` handles that asymmetry.
+            net_dif: dif(original, &plan),
+            step_difs,
+            utility: plan.total_utility(&instance),
+            shortfall: shortfall(&instance, &plan),
+            instance,
+            plan,
+        }
+    }
+}
+
+/// Events below their lower bound `ξ` in `plan`.
+fn shortfall(instance: &Instance, plan: &Plan) -> Vec<EventId> {
+    instance
+        .event_ids()
+        .filter(|&e| plan.attendance(e) < instance.event(e).lower)
+        .collect()
 }
 
 #[cfg(test)]
@@ -1143,14 +958,18 @@ mod tests {
     }
 
     #[test]
-    fn apply_to_instance_agrees_with_full_apply() {
+    fn apply_in_place_agrees_with_full_apply_and_undoes_exactly() {
         // The pure instance transition and the repair entry point must
-        // describe the same post-op world, for every op kind.
+        // describe the same post-op world, for every op kind, and the
+        // transition's undo must restore the instance.
         let (instance, plan) = setup();
         for op in one_of_each_op() {
-            let inst_only = IncrementalPlanner::apply_to_instance(&instance, &op);
+            let mut inst_only = instance.clone();
+            let undo = apply_in_place(&mut inst_only, &op);
             let full = IncrementalPlanner.apply(&instance, &plan, &op);
             assert_eq!(inst_only, full.instance, "divergence for {op:?}");
+            undo.rollback(&mut inst_only);
+            assert_eq!(inst_only, instance, "undo of {op:?}");
         }
     }
 

@@ -11,8 +11,9 @@ use std::sync::OnceLock;
 /// The instance is the single source of truth for distances, time
 /// conflicts and travel costs; plans and solvers hold only indices
 /// ([`UserId`], [`EventId`]) into it. Incremental (IEP) atomic
-/// operations mutate a cloned instance through the `set_*`/`add_event`
-/// methods.
+/// operations mutate the live instance in place through the
+/// `set_*`/`add_event` methods, and roll back through crate-private
+/// restore methods (see `incremental::step`).
 ///
 /// The per-user candidate lists (`Uc_i`, the CSR arena every hot
 /// solver path iterates) are derived lazily on first use and cached;
@@ -350,6 +351,59 @@ impl Instance {
         }
         self.invalidate_candidates();
         id
+    }
+
+    // ---- undo API for in-place IEP steps ----
+    //
+    // `incremental::step` mutates the live instance through the setters
+    // above and, on rollback, writes the pre-op values back through
+    // these. Each one still invalidates the cache; the step then hands
+    // back the cache it took before the op with `restore_candidates`,
+    // since the restored instance is exactly the one it was built from.
+
+    /// Takes the cached candidate lists out, leaving the cache empty.
+    pub(crate) fn take_candidates(&mut self) -> Option<CandidateSet> {
+        self.candidates.take()
+    }
+
+    /// Reinstalls candidate lists taken by
+    /// [`Instance::take_candidates`]; the caller guarantees they match
+    /// the instance's current data.
+    pub(crate) fn restore_candidates(&mut self, candidates: Option<CandidateSet>) {
+        if let Some(cs) = candidates {
+            self.candidates = OnceLock::from(cs);
+        }
+    }
+
+    /// Writes a whole event record back (no bound or fee asserts: the
+    /// value came from this instance).
+    pub(crate) fn restore_event(&mut self, e: EventId, event: Event) {
+        self.events[e.index()] = event;
+        self.invalidate_candidates();
+    }
+
+    /// Writes a whole user record back.
+    pub(crate) fn restore_user(&mut self, u: UserId, user: User) {
+        self.users[u.index()] = user;
+        self.invalidate_candidates();
+    }
+
+    /// The stored `μ(u, e)` entry, for [`Instance::restore_utility`].
+    pub(crate) fn stored_utility(&self, u: UserId, e: EventId) -> Option<f64> {
+        self.utilities.stored(u, e)
+    }
+
+    /// Puts back a `μ(u, e)` entry read by [`Instance::stored_utility`].
+    pub(crate) fn restore_utility(&mut self, u: UserId, e: EventId, stored: Option<f64>) {
+        self.utilities.restore(u, e, stored);
+        self.invalidate_candidates();
+    }
+
+    /// Removes the most recently added event and its utility column.
+    pub(crate) fn pop_event(&mut self) {
+        self.events.pop();
+        self.utilities.pop_event_column();
+        self.invalidate_candidates();
     }
 }
 

@@ -196,6 +196,64 @@ impl UtilityMatrix {
         }
     }
 
+    /// The stored entry for `(user, event)`: always `Some` on the dense
+    /// layout, `None` for a pair absent from the sparse layout. With
+    /// [`UtilityMatrix::restore`] this undoes a [`UtilityMatrix::set`]
+    /// storage-exactly (a spliced-in sparse entry is removed again).
+    pub(crate) fn stored(&self, user: UserId, event: EventId) -> Option<f64> {
+        match &self.storage {
+            Storage::Dense(values) => Some(values[user.index() * self.n_events + event.index()]),
+            Storage::Sparse {
+                offsets,
+                cols,
+                vals,
+            } => {
+                let lo = offsets[user.index()] as usize;
+                let hi = offsets[user.index() + 1] as usize;
+                cols[lo..hi]
+                    .binary_search(&(event.index() as u32))
+                    .ok()
+                    .map(|k| vals[lo + k])
+            }
+        }
+    }
+
+    /// Puts back an entry read by [`UtilityMatrix::stored`] before the
+    /// latest [`UtilityMatrix::set`] of the same pair.
+    pub(crate) fn restore(&mut self, user: UserId, event: EventId, stored: Option<f64>) {
+        let n_events = self.n_events;
+        match (&mut self.storage, stored) {
+            (Storage::Dense(values), Some(v)) => {
+                values[user.index() * n_events + event.index()] = v;
+            }
+            (Storage::Dense(_), None) => {}
+            (
+                Storage::Sparse {
+                    offsets,
+                    cols,
+                    vals,
+                },
+                stored,
+            ) => {
+                let lo = offsets[user.index()] as usize;
+                let hi = offsets[user.index() + 1] as usize;
+                let Ok(k) = cols[lo..hi].binary_search(&(event.index() as u32)) else {
+                    return; // absent before and after
+                };
+                match stored {
+                    Some(v) => vals[lo + k] = v,
+                    None => {
+                        cols.remove(lo + k);
+                        vals.remove(lo + k);
+                        for o in &mut offsets[user.index() + 1..] {
+                            *o -= 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Visits every entry with `μ > 0` in one user's row, in ascending
     /// event order. O(row length) on either layout — this is the
     /// building block of candidate derivation.
@@ -309,6 +367,48 @@ impl UtilityMatrix {
         // Sparse layout: a zero column is implicit, only the shape grows.
         self.n_events += 1;
         EventId(ne as u32)
+    }
+
+    /// Drops the last event column again — the undo of
+    /// [`UtilityMatrix::push_event_column`] and the sets that filled it.
+    pub(crate) fn pop_event_column(&mut self) {
+        let Some(last) = self.n_events.checked_sub(1) else {
+            return;
+        };
+        match &mut self.storage {
+            Storage::Dense(values) => {
+                let mut next = Vec::with_capacity(self.n_users * last);
+                for u in 0..self.n_users {
+                    let s = u * self.n_events;
+                    next.extend_from_slice(&values[s..s + last]);
+                }
+                *values = next;
+            }
+            Storage::Sparse {
+                offsets,
+                cols,
+                vals,
+            } => {
+                // The last column sorts last in every row.
+                let mut kept = 0u32;
+                let mut start = 0usize;
+                for u in 0..self.n_users {
+                    let hi = offsets[u + 1] as usize;
+                    for k in start..hi {
+                        if cols[k] as usize != last {
+                            cols[kept as usize] = cols[k];
+                            vals[kept as usize] = vals[k];
+                            kept += 1;
+                        }
+                    }
+                    start = hi;
+                    offsets[u + 1] = kept;
+                }
+                cols.truncate(kept as usize);
+                vals.truncate(kept as usize);
+            }
+        }
+        self.n_events = last;
     }
 }
 
@@ -475,5 +575,32 @@ mod tests {
         let back: UtilityMatrix = serde_json::from_str(&json).unwrap();
         assert_eq!(back, sparse);
         assert!(back.is_sparse());
+    }
+    #[test]
+    fn restore_and_pop_undo_sets_storage_exactly_on_both_layouts() {
+        let dense = UtilityMatrix::from_rows(vec![vec![0.1, 0.0], vec![0.0, 0.3]]).unwrap();
+        let sparse =
+            UtilityMatrix::from_sparse_rows(2, &[vec![(0, 0.1)], vec![(1, 0.3)]]).unwrap();
+        for before in [dense, sparse] {
+            let mut m = before.clone();
+            // Overwrite a stored entry, splice an absent one in.
+            for (u, e, v) in [(0, 0, 0.7), (0, 1, 0.5), (1, 0, 0.0)] {
+                let (u, e) = (UserId(u), EventId(e));
+                let stored = m.stored(u, e);
+                m.set(u, e, v);
+                m.restore(u, e, stored);
+                assert_eq!(m, before, "restore after set({u}, {e}, {v})");
+            }
+            // A new column, filled, then dropped again.
+            let e = m.push_event_column();
+            m.set(UserId(0), e, 0.4);
+            m.set(UserId(1), e, 0.9);
+            m.pop_event_column();
+            assert_eq!(m, before);
+            assert_eq!(
+                serde_json::to_string(&m).unwrap(),
+                serde_json::to_string(&before).unwrap()
+            );
+        }
     }
 }

@@ -205,6 +205,9 @@ pub const SPAN_NAMES: &[&str] = &[
     "core.candidates.build",
     "iep.apply",
     "serve.op",
+    "serve.repair",
+    "serve.certify",
+    "serve.rollback",
     "serve.resolve",
     "serve.snapshot",
     "serve.restore",

@@ -12,4 +12,7 @@ fn instrumented() {
     let _sc = epplan_obs::span("core.candidates.build");
     epplan_obs::gauge_set("gap.candidates.per_user", 12.5);
     epplan_obs::gauge_set("packing.arena.candidates", 4096.0);
+    let _rp = epplan_obs::span("serve.repair");
+    let _ce = epplan_obs::span("serve.certify");
+    let _rb = epplan_obs::span("serve.rollback");
 }

@@ -121,15 +121,51 @@ pub struct CriticalPathRow {
     /// Times this name appeared on a critical path.
     pub on_path: u64,
     /// Microseconds this name contributed as path *self* time (node
-    /// duration minus the chosen child's duration).
+    /// duration minus the durations of its children on the path).
     pub self_us: u64,
 }
 
+/// The children of one span that lie on its critical path: the chain
+/// of pairwise non-overlapping children with the largest summed
+/// duration (weighted interval scheduling over `[ts, ts + dur)`).
+/// Sequential children are all on it; of children that overlap (work
+/// fanned out in parallel), only the heaviest chain is. Ties prefer
+/// taking a child, so the choice is deterministic.
+fn path_children<'a>(kids: &[&'a OwnedTraceEvent]) -> Vec<&'a OwnedTraceEvent> {
+    let mut by_end: Vec<&OwnedTraceEvent> = kids.to_vec();
+    by_end.sort_by_key(|e| (e.ts_us + e.dur_us, e.ts_us, e.id));
+    // best[i]: heaviest chain among the first i children by end time.
+    let mut best = vec![0u64; by_end.len() + 1];
+    let mut take = vec![false; by_end.len()];
+    // prev[i]: how many children end no later than child i starts.
+    let mut prev = vec![0usize; by_end.len()];
+    for (i, e) in by_end.iter().enumerate() {
+        prev[i] = by_end[..i].partition_point(|p| p.ts_us + p.dur_us <= e.ts_us);
+        let with = e.dur_us + best[prev[i]];
+        take[i] = with >= best[i];
+        best[i + 1] = with.max(best[i]);
+    }
+    let mut chosen = Vec::new();
+    let mut i = by_end.len();
+    while i > 0 {
+        if take[i - 1] {
+            chosen.push(by_end[i - 1]);
+            i = prev[i - 1];
+        } else {
+            i -= 1;
+        }
+    }
+    chosen.reverse();
+    chosen
+}
+
 /// Critical-path attribution per operation: for every root span (no
-/// parent), walks the chain of longest-duration children (ties broken
-/// by lower span id, so the walk is deterministic) and charges each
-/// node its path self time. Aggregated by name, sorted by descending
-/// contribution — "where does the wall clock of a typical op go?".
+/// parent), descends into the children on its critical path (see
+/// [`path_children`]: every child of a sequential pipeline, the
+/// heaviest chain of parallel ones) and charges each node its path
+/// self time — its duration minus that of its on-path children.
+/// Aggregated by name, sorted by descending contribution — "where does
+/// the wall clock of a typical op go?".
 pub fn critical_path(events: &[OwnedTraceEvent]) -> Vec<CriticalPathRow> {
     let mut children: BTreeMap<u64, Vec<&OwnedTraceEvent>> = BTreeMap::new();
     let mut roots: Vec<&OwnedTraceEvent> = Vec::new();
@@ -141,27 +177,20 @@ pub fn critical_path(events: &[OwnedTraceEvent]) -> Vec<CriticalPathRow> {
     }
     roots.sort_by_key(|e| e.id);
     let mut agg: BTreeMap<&str, CriticalPathRow> = BTreeMap::new();
-    for root in roots {
-        let mut node = root;
-        loop {
-            let heaviest = children.get(&node.id).and_then(|kids| {
-                kids.iter()
-                    .copied()
-                    .max_by(|a, b| a.dur_us.cmp(&b.dur_us).then(b.id.cmp(&a.id)))
-            });
-            let child_dur = heaviest.map_or(0, |c| c.dur_us);
-            let row = agg.entry(node.span.as_str()).or_insert_with(|| CriticalPathRow {
-                name: node.span.clone(),
-                on_path: 0,
-                self_us: 0,
-            });
-            row.on_path += 1;
-            row.self_us += node.dur_us.saturating_sub(child_dur);
-            match heaviest {
-                Some(c) => node = c,
-                None => break,
-            }
-        }
+    let mut stack: Vec<&OwnedTraceEvent> = roots.into_iter().rev().collect();
+    while let Some(node) = stack.pop() {
+        let on_path = children
+            .get(&node.id)
+            .map_or_else(Vec::new, |kids| path_children(kids));
+        let child_dur: u64 = on_path.iter().map(|c| c.dur_us).sum();
+        let row = agg.entry(node.span.as_str()).or_insert_with(|| CriticalPathRow {
+            name: node.span.clone(),
+            on_path: 0,
+            self_us: 0,
+        });
+        row.on_path += 1;
+        row.self_us += node.dur_us.saturating_sub(child_dur);
+        stack.extend(on_path.into_iter().rev());
     }
     let mut rows: Vec<CriticalPathRow> = agg.into_values().collect();
     rows.sort_by(|a, b| b.self_us.cmp(&a.self_us).then_with(|| a.name.cmp(&b.name)));
@@ -230,17 +259,49 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_follows_heaviest_child() {
+    fn critical_path_takes_every_sequential_child() {
         let rows = critical_path(&sample());
-        // Path: root -> a -> a1; b never on path.
-        assert!(rows.iter().all(|r| r.name != "b"));
+        // a [2, 62) and b [65, 95) run one after the other: both are on
+        // the path, and root keeps only its own 10µs.
         let get = |n: &str| rows.iter().find(|r| r.name == n).unwrap().clone();
-        assert_eq!(get("root").self_us, 40); // 100 - 60
+        assert_eq!(get("root").self_us, 10); // 100 - (60 + 30)
         assert_eq!(get("a").self_us, 10); // 60 - 50
         assert_eq!(get("a1").self_us, 50);
+        assert_eq!(get("b").self_us, 30);
         assert_eq!(get("a1").on_path, 1);
+        // Path self times of one sequential tree sum to its wall time.
+        assert_eq!(rows.iter().map(|r| r.self_us).sum::<u64>(), 100);
         let table = render_critical_path(&rows, 10);
         assert!(table.contains("critical-path"));
+    }
+
+    #[test]
+    fn critical_path_takes_the_heaviest_chain_of_parallel_children() {
+        // root(100): p [0, 70) overlaps q [10, 50) and r [60, 90); q and
+        // r do not overlap. The chain q + r (70) ties p (70) and is taken
+        // over it; s [95, 100) follows all three.
+        let events = vec![
+            ev(1, None, "root", 0, 100),
+            ev(2, Some(1), "p", 0, 70),
+            ev(3, Some(1), "q", 10, 40),
+            ev(4, Some(1), "r", 60, 30),
+            ev(5, Some(1), "s", 95, 5),
+        ];
+        let rows = critical_path(&events);
+        let get = |n: &str| rows.iter().find(|r| r.name == n).map(|r| r.self_us);
+        assert_eq!(get("p"), None);
+        assert_eq!(get("q"), Some(40));
+        assert_eq!(get("r"), Some(30));
+        assert_eq!(get("s"), Some(5));
+        assert_eq!(get("root"), Some(25)); // 100 - (40 + 30 + 5)
+        // A strictly heavier parallel child wins over the chain.
+        let mut heavier = events.clone();
+        heavier[1].dur_us = 80;
+        let rows = critical_path(&heavier);
+        let get = |n: &str| rows.iter().find(|r| r.name == n).map(|r| r.self_us);
+        assert_eq!(get("p"), Some(80));
+        assert_eq!(get("q"), None);
+        assert_eq!(get("root"), Some(15)); // 100 - (80 + 5)
     }
 
     #[test]

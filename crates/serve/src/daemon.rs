@@ -8,10 +8,13 @@
 //!
 //! The *visible* plan — the one a caller observes via
 //! [`Daemon::plan`] or any [`OpResponse`] — is certified at all
-//! times. State transitions happen only after
-//! [`certify_incremental`]/[`certify`] confirms zero hard violations;
-//! a failed repair or re-solve leaves the previous certified plan in
-//! place and rejects the op with a typed error.
+//! times. An op is repaired in place on the live state ([`step`]),
+//! delta-certified over the users it touched ([`certify_delta`]), and
+//! then either committed or rolled back from its undo journal; a
+//! failed repair or re-solve leaves the previous certified plan in
+//! place and rejects the op with a typed error. A full [`certify`]
+//! re-bases the delta certifier at start, at restore, at every
+//! snapshot and at every re-solve.
 //!
 //! ## Wall-clock use
 //!
@@ -26,13 +29,13 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use epplan_core::certify::{certify, certify_incremental};
-use epplan_core::incremental::{IncrementalOutcome, IncrementalPlanner, SequencedOp};
+use epplan_core::certify::{certify, certify_baseline, certify_delta};
+use epplan_core::incremental::{apply_in_place, step, SequencedOp, StepOutcome};
 use epplan_core::model::Instance;
 use epplan_core::plan::{dif, Plan};
 use epplan_core::solver::{GapBasedSolver, GepcSolver, LnsSolver};
 use epplan_obs::{HistogramSnapshot, WindowConfig, WindowedHistogram};
-use epplan_solve::{Certificate, FailureKind, SolveBudget, SolveError};
+use epplan_solve::{Certificate, DeltaCertifier, FailureKind, SolveBudget, SolveError};
 
 use crate::overload::{self, OverloadConfig, OverloadState};
 use crate::proto::{OpResponse, ServeSummary};
@@ -147,6 +150,10 @@ pub struct Daemon {
     instance: Instance,
     plan: Plan,
     utility: f64,
+    /// The independent checker's memory of the visible plan, re-based
+    /// by every full certification and advanced by every committed
+    /// delta certificate.
+    certifier: DeltaCertifier,
     /// Highest op id folded into the visible plan.
     last_op_id: u64,
     /// Accumulated `dif` since the last full solve.
@@ -194,12 +201,14 @@ impl Daemon {
         config: ServeConfig,
         state_dir: Option<&Path>,
     ) -> Result<Daemon, ServeError> {
-        let (plan, utility) = Self::full_solve(&instance, config.resolve_budget, false)?;
+        let (plan, utility, certifier) =
+            Self::full_solve(&instance, config.resolve_budget, false)?;
         let window = latency_window(&config);
         let mut daemon = Daemon {
             instance,
             plan,
             utility,
+            certifier,
             last_op_id: 0,
             drift: 0,
             processed: 0,
@@ -239,12 +248,19 @@ impl Daemon {
             ServeError::corrupt(format!("no snapshot in {}", state_dir.display()))
         })?;
         let utility = snap.plan.total_utility(&snap.instance);
+        let (cert, certifier) = certify_baseline(&snap.instance, &snap.plan);
+        if !cert.hard_ok() {
+            return Err(ServeError::corrupt(format!(
+                "restored snapshot failed certification: {cert}"
+            )));
+        }
         let window = latency_window(&config);
         let snapshot_op = snap.last_op_id;
         let mut daemon = Daemon {
             instance: snap.instance,
             plan: snap.plan,
             utility,
+            certifier,
             last_op_id: snap.last_op_id,
             drift: snap.drift,
             processed: 0,
@@ -258,12 +274,6 @@ impl Daemon {
             snapshot_op,
             overload: snap.overload,
         };
-        let cert = certify(&daemon.instance, &daemon.plan);
-        if !cert.hard_ok() {
-            return Err(ServeError::corrupt(format!(
-                "restored snapshot failed certification: {cert}"
-            )));
-        }
         // Warm the candidate-list cache before the WAL replay: replayed
         // ops repair through the same sparse paths as live ones.
         let _ = daemon.instance.candidates();
@@ -313,6 +323,11 @@ impl Daemon {
                 }
             }
         }
+        // Replay repairs without per-op certificates; one full pass over
+        // the replayed state re-bases the delta certifier.
+        daemon.rebase().map_err(|cert| {
+            ServeError::corrupt(format!("replayed WAL state failed certification: {cert}"))
+        })?;
         daemon.wal = Some(WalWriter::open_append(&state_dir.join(wal::WAL_FILE))?);
         if let Some((sop, attempts)) = tail {
             let poisoned = daemon
@@ -541,28 +556,29 @@ impl Daemon {
         // modes) never needs to re-derive the shrink.
         let repair_budget = overload::shrink_budget(self.config.op_budget, self.overload.level);
         loop {
-            let attempt: Result<IncrementalOutcome, SolveError> =
+            let attempt: Result<StepOutcome, SolveError> =
                 match epplan_fault::point("serve.op.ingest") {
                     Some(action) => {
                         Err(SolveError::from_fault(STAGE, "serve.op.ingest", action))
                     }
-                    None => IncrementalPlanner
-                        .try_apply_budgeted(
-                            &self.instance,
-                            &self.plan,
-                            op,
-                            escalated(repair_budget, retries),
-                        )
-                        .map_err(SolveError::discard_partial),
+                    None => {
+                        let mut sp = epplan_obs::span("serve.repair");
+                        sp.add_iters(1);
+                        let budget = escalated(repair_budget, retries);
+                        step(&mut self.instance, &mut self.plan, op, Some(budget))
+                    }
                 };
             match attempt {
                 Ok(out) => {
-                    let cert = certify_incremental(&out.instance, &self.plan, &out.plan);
+                    let (cert, commit) = {
+                        let _sp = epplan_obs::span("serve.certify");
+                        let touched = out.touched_users(&self.plan);
+                        certify_delta(&self.certifier, &self.instance, &self.plan, &touched)
+                    };
                     if cert.hard_ok() {
+                        self.certifier.commit(commit);
                         let op_dif = out.dif as u64;
-                        self.instance = out.instance;
-                        self.plan = out.plan;
-                        self.utility = out.utility;
+                        self.utility = self.plan.total_utility(&self.instance);
                         self.drift += op_dif;
                         self.last_op_id = sop.id;
                         // Drift-triggered background re-solve, gated
@@ -593,6 +609,10 @@ impl Daemon {
                             self.response(sop.id, "applied", op_dif, retries, None),
                         );
                     }
+                    {
+                        let _sp = epplan_obs::span("serve.rollback");
+                        out.rollback(&mut self.instance, &mut self.plan);
+                    }
                     repair_failure =
                         format!("repair rejected by certification: {cert}");
                     break;
@@ -622,15 +642,16 @@ impl Daemon {
             }
         }
         // Graceful degradation: rebuild the plan from scratch on the
-        // post-op instance; swap in only if it certifies.
-        let next = IncrementalPlanner::apply_to_instance(&self.instance, op);
+        // post-op instance; swap in only if it certifies, else put the
+        // instance back.
+        let undo = apply_in_place(&mut self.instance, op);
         let degraded = self.overload.level >= 2;
-        match Self::full_solve(&next, self.config.resolve_budget, degraded) {
-            Ok((new_plan, utility)) => {
+        match Self::full_solve(&self.instance, self.config.resolve_budget, degraded) {
+            Ok((new_plan, utility, certifier)) => {
                 let op_dif = dif(&self.plan, &new_plan) as u64;
-                self.instance = next;
                 self.plan = new_plan;
                 self.utility = utility;
+                self.certifier = certifier;
                 self.drift = 0;
                 self.last_op_id = sop.id;
                 self.stats.resolved += 1;
@@ -645,6 +666,7 @@ impl Daemon {
                 )
             }
             Err(resolve_failure) => {
+                undo.rollback(&mut self.instance);
                 self.last_op_id = sop.id;
                 self.stats.rejected += 1;
                 epplan_obs::counter_add("serve.ops_rejected", 1);
@@ -678,7 +700,8 @@ impl Daemon {
                 self.resolve_in_place()?;
             }
             OutcomeMode::Resolve => {
-                self.instance = IncrementalPlanner::apply_to_instance(&self.instance, &sop.op);
+                // Committed by the recorded outcome: the undo is dropped.
+                let _ = apply_in_place(&mut self.instance, &sop.op);
                 self.last_op_id = sop.id;
                 self.resolve_in_place()?;
             }
@@ -692,20 +715,29 @@ impl Daemon {
         Ok(())
     }
 
+    /// Replays a recorded repair: the same in-place step the live run
+    /// committed, without a budget (the recorded outcome already says
+    /// it finished) and without a per-op certificate (restore re-bases
+    /// the certifier once the replay is done).
     fn replay_repair(&mut self, sop: &SequencedOp) -> Result<(), ServeError> {
-        let out = IncrementalPlanner
-            .try_apply(&self.instance, &self.plan, &sop.op)
-            .map_err(|e| {
-                ServeError::solve(
-                    e.kind,
-                    format!("replaying op {}: {}", sop.id, e.message),
-                )
-            })?;
+        let out = step(&mut self.instance, &mut self.plan, &sop.op, None).map_err(|e| {
+            ServeError::solve(e.kind, format!("replaying op {}: {}", sop.id, e.message))
+        })?;
         self.drift += out.dif as u64;
-        self.instance = out.instance;
-        self.plan = out.plan;
-        self.utility = out.utility;
+        self.utility = self.plan.total_utility(&self.instance);
         self.last_op_id = sop.id;
+        Ok(())
+    }
+
+    /// A full certification of the visible state, which becomes the
+    /// delta certifier's new baseline. Returns the certificate when it
+    /// fails a hard check (the baseline is then left alone).
+    fn rebase(&mut self) -> Result<(), Certificate> {
+        let (cert, certifier) = certify_baseline(&self.instance, &self.plan);
+        if !cert.hard_ok() {
+            return Err(cert);
+        }
+        self.certifier = certifier;
         Ok(())
     }
 
@@ -714,18 +746,19 @@ impl Daemon {
     /// [`Daemon::full_solve`]). Resets drift.
     fn resolve_in_place(&mut self) -> Result<(), ServeError> {
         let degraded = self.overload.level >= 2;
-        let (plan, utility) =
+        let (plan, utility, certifier) =
             Self::full_solve(&self.instance, self.config.resolve_budget, degraded)?;
         self.plan = plan;
         self.utility = utility;
+        self.certifier = certifier;
         self.drift = 0;
         self.stats.resolves += 1;
         epplan_obs::counter_add("serve.resolves", 1);
         Ok(())
     }
 
-    /// Solves `instance` from scratch and certifies the result.
-    /// Degrades to the solver's partial (fallback) plan when one
+    /// Solves `instance` from scratch and certifies the result (the
+    /// certificate seeds the returned delta certifier). Degrades to the solver's partial (fallback) plan when one
     /// exists, but *never* returns an uncertified plan. At brownout
     /// level ≥ 2 (`degraded`), the gap-based pipeline is swapped for
     /// budgeted LNS with the final `LocalSearch` polish skipped —
@@ -734,7 +767,7 @@ impl Daemon {
         instance: &Instance,
         budget: SolveBudget,
         degraded: bool,
-    ) -> Result<(Plan, f64), ServeError> {
+    ) -> Result<(Plan, f64, DeltaCertifier), ServeError> {
         let mut sp = epplan_obs::span("serve.resolve");
         sp.add_iters(1);
         let attempt = if degraded {
@@ -760,14 +793,14 @@ impl Daemon {
                 }
             },
         };
-        let cert = certify(instance, &solution.plan);
+        let (cert, certifier) = certify_baseline(instance, &solution.plan);
         if !cert.hard_ok() {
             return Err(ServeError::solve(
                 FailureKind::Infeasible,
                 format!("full solve produced an uncertifiable plan: {cert}"),
             ));
         }
-        Ok((solution.plan, cert.utility))
+        Ok((solution.plan, cert.utility, certifier))
     }
 
     fn drift_exceeded(&self) -> bool {
@@ -775,15 +808,23 @@ impl Daemon {
             .is_some_and(|t| self.drift >= t)
     }
 
-    /// Snapshots current state atomically, then truncates the WAL
-    /// (the snapshot supersedes it). Called at start and every
-    /// `snapshot_every` ops.
+    /// Fully certifies the current state (re-basing the delta
+    /// certifier), snapshots it atomically, then truncates the WAL (the
+    /// snapshot supersedes it). Called at start and every
+    /// `snapshot_every` ops. A state that fails the full pass is never
+    /// written: the error is fatal, like any durability failure.
     fn write_snapshot(&mut self) -> Result<(), ServeError> {
         let Some(dir) = self.state_dir.clone() else {
             return Ok(());
         };
         let mut sp = epplan_obs::span("serve.snapshot");
         sp.add_iters(1);
+        self.rebase().map_err(|cert| {
+            ServeError::solve(
+                FailureKind::Infeasible,
+                format!("plan failed certification at snapshot: {cert}"),
+            )
+        })?;
         if let Some(w) = self.wal.as_mut() {
             w.sync()?;
         }

@@ -30,6 +30,11 @@
 //! | `duplicate-assignment` | a user is assigned to an event once at most |
 //! | `invalid-assignment`   | assigned event/user ids are in range        |
 //!
+//! A [`DeltaCertifier`] remembers what the checker counted on its last
+//! full pass, so a long-lived plan that changes a few users at a time
+//! (the `epplan serve` daemon) can be re-certified over just those
+//! users and every event's bounds — see its soundness condition.
+//!
 //! Optimality is certified separately where the math gives a cheap
 //! certificate ([`OptimalityCert`]): dual feasibility at simplex exit,
 //! reduced-cost optimality for min-cost flow, and the LP-relaxation
@@ -229,86 +234,123 @@ impl fmt::Display for Certificate {
 /// previous plan's assignment lists as `baseline` to also recompute
 /// the IEP `dif(P, P′)`.
 pub fn certify_plan(view: &dyn PlanView, baseline: Option<&[Vec<usize>]>) -> Certificate {
+    full_pass(view, baseline).0
+}
+
+/// The full check over every user and event, plus what a
+/// [`DeltaCertifier`] keeps of it.
+fn full_pass(view: &dyn PlanView, baseline: Option<&[Vec<usize>]>) -> (Certificate, DeltaCertifier) {
     let n_users = view.n_users();
-    let n_events = view.n_events();
     let mut cert = Certificate {
         checked: true,
         ..Certificate::default()
     };
     // Recomputed from the assignment lists, never read from the plan.
-    let mut attendance = vec![0usize; n_events];
-    let mut new_assignments: Vec<Vec<usize>> = Vec::with_capacity(n_users);
-
+    let mut state = DeltaCertifier {
+        rows: Vec::with_capacity(n_users),
+        attendance: vec![0; view.n_events()],
+        user_utility: Vec::with_capacity(n_users),
+        utility: 0.0,
+        dirty: Vec::new(),
+    };
     for u in 0..n_users {
-        let events = view.assignments(u);
-        // Structural checks first: everything downstream assumes
-        // in-range, duplicate-free lists.
-        let mut valid: Vec<usize> = Vec::with_capacity(events.len());
-        for &e in &events {
-            if e >= n_events {
-                cert.hard_violations.push(CertViolation {
-                    constraint: constraint::INVALID_ASSIGNMENT,
-                    detail: format!("user {u} assigned to event {e} of {n_events}"),
-                });
-                continue;
-            }
-            if valid.contains(&e) {
-                cert.hard_violations.push(CertViolation {
-                    constraint: constraint::DUPLICATE_ASSIGNMENT,
-                    detail: format!("user {u} assigned to event {e} more than once"),
-                });
-                continue;
-            }
-            valid.push(e);
-        }
-
-        // GEPC (1): pairwise time conflicts.
-        for i in 0..valid.len() {
-            for j in (i + 1)..valid.len() {
-                if view.conflicts(valid[i], valid[j]) {
-                    cert.hard_violations.push(CertViolation {
-                        constraint: constraint::TIME_CONFLICT,
-                        detail: format!(
-                            "user {u} attends overlapping events {} and {}",
-                            valid[i], valid[j]
-                        ),
-                    });
-                }
-            }
-        }
-
-        // GEPC (2): travel budget D_i ≤ B_i (same 1e-9 tolerance as
-        // the model layer).
-        if !valid.is_empty() {
-            let cost = view.travel_cost(u, &valid);
-            let budget = view.budget(u);
-            if !cost.is_finite() || cost > budget + 1e-9 {
-                cert.hard_violations.push(CertViolation {
-                    constraint: constraint::TRAVEL_BUDGET,
-                    detail: format!("user {u} travel cost {cost} exceeds budget {budget}"),
-                });
-            }
-        }
-
-        // Zero-utility assignments are forbidden; positive ones sum
-        // into the recomputed U_P.
+        let hard_before = cert.hard_violations.len();
+        let (valid, mu) = check_user(view, u, &mut cert);
         for &e in &valid {
-            let mu = view.utility(u, e);
-            // NaN utilities are as forbidden as zero ones.
-            if mu <= 0.0 || mu.is_nan() {
-                cert.hard_violations.push(CertViolation {
-                    constraint: constraint::ZERO_UTILITY,
-                    detail: format!("user {u} assigned to event {e} with utility {mu}"),
-                });
-            } else {
-                cert.utility += mu;
-            }
-            attendance[e] += 1;
+            state.attendance[e] += 1;
         }
-        new_assignments.push(valid);
+        if cert.hard_violations.len() > hard_before {
+            state.dirty.push(u);
+        }
+        state.rows.push(valid);
+        state.user_utility.push(mu);
+    }
+    check_bounds(view, &state.attendance, &mut cert);
+    if let Some(old) = baseline {
+        cert.dif = Some(recompute_dif(old, &state.rows));
+    }
+    state.utility = cert.utility;
+    (cert, state)
+}
+
+/// The per-user checks: structure, pairwise conflicts, travel budget
+/// and zero utilities. Violations go to `cert`, each positive utility
+/// is added to `cert.utility` in plan order; returns the user's valid
+/// (in-range, duplicate-free) events and their utility sum.
+fn check_user(view: &dyn PlanView, u: usize, cert: &mut Certificate) -> (Vec<usize>, f64) {
+    let n_events = view.n_events();
+    let events = view.assignments(u);
+    // Structural checks first: everything downstream assumes in-range,
+    // duplicate-free lists.
+    let mut valid: Vec<usize> = Vec::with_capacity(events.len());
+    for &e in &events {
+        if e >= n_events {
+            cert.hard_violations.push(CertViolation {
+                constraint: constraint::INVALID_ASSIGNMENT,
+                detail: format!("user {u} assigned to event {e} of {n_events}"),
+            });
+            continue;
+        }
+        if valid.contains(&e) {
+            cert.hard_violations.push(CertViolation {
+                constraint: constraint::DUPLICATE_ASSIGNMENT,
+                detail: format!("user {u} assigned to event {e} more than once"),
+            });
+            continue;
+        }
+        valid.push(e);
     }
 
-    // GEPC (3)/(4): per-event participation bounds.
+    // GEPC (1): pairwise time conflicts.
+    for i in 0..valid.len() {
+        for j in (i + 1)..valid.len() {
+            if view.conflicts(valid[i], valid[j]) {
+                cert.hard_violations.push(CertViolation {
+                    constraint: constraint::TIME_CONFLICT,
+                    detail: format!(
+                        "user {u} attends overlapping events {} and {}",
+                        valid[i], valid[j]
+                    ),
+                });
+            }
+        }
+    }
+
+    // GEPC (2): travel budget D_i ≤ B_i (same 1e-9 tolerance as the
+    // model layer).
+    if !valid.is_empty() {
+        let cost = view.travel_cost(u, &valid);
+        let budget = view.budget(u);
+        if !cost.is_finite() || cost > budget + 1e-9 {
+            cert.hard_violations.push(CertViolation {
+                constraint: constraint::TRAVEL_BUDGET,
+                detail: format!("user {u} travel cost {cost} exceeds budget {budget}"),
+            });
+        }
+    }
+
+    // Zero-utility assignments are forbidden; positive ones sum into
+    // the recomputed U_P.
+    let mut own = 0.0;
+    for &e in &valid {
+        let mu = view.utility(u, e);
+        // NaN utilities are as forbidden as zero ones.
+        if mu <= 0.0 || mu.is_nan() {
+            cert.hard_violations.push(CertViolation {
+                constraint: constraint::ZERO_UTILITY,
+                detail: format!("user {u} assigned to event {e} with utility {mu}"),
+            });
+        } else {
+            cert.utility += mu;
+            own += mu;
+        }
+    }
+    (valid, own)
+}
+
+/// GEPC (3)/(4): per-event participation bounds against recomputed
+/// attendance.
+fn check_bounds(view: &dyn PlanView, attendance: &[usize], cert: &mut Certificate) {
     for (e, &att) in attendance.iter().enumerate() {
         let (lower, upper) = view.bounds(e);
         if att > upper as usize {
@@ -324,11 +366,124 @@ pub fn certify_plan(view: &dyn PlanView, baseline: Option<&[Vec<usize>]>) -> Cer
             });
         }
     }
+}
 
-    if let Some(old) = baseline {
-        cert.dif = Some(recompute_dif(old, &new_assignments));
+/// The checker's memory of the last plan it certified: every user's
+/// valid row and utility, per-event attendance and `U_P`, all counted
+/// by the checker itself. It lets the next certificate re-check only
+/// the users a change touched ([`DeltaCertifier::certify`]) instead of
+/// the whole plan.
+///
+/// **Soundness.** A delta certificate equals a full
+/// [`certify_plan`] (same hard and soft violations, the same `dif`
+/// against the certified plan, `U_P` up to float rounding) only if
+/// every user *outside* the touched set has the same plan row and the
+/// same per-user inputs — budget, the utilities, time windows, venues
+/// and fees of the events in their row — as at the last certification.
+/// Event bounds may change freely: they are re-checked for every event.
+/// Users that failed a hard check last time are re-checked every time,
+/// so the certificate stays exact from a rejected baseline too.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DeltaCertifier {
+    rows: Vec<Vec<usize>>,
+    attendance: Vec<usize>,
+    user_utility: Vec<f64>,
+    utility: f64,
+    /// Users with a hard violation at the last certification.
+    dirty: Vec<usize>,
+}
+
+/// A delta certificate's changes to a [`DeltaCertifier`], applied by
+/// [`DeltaCertifier::commit`] once the caller keeps the plan it
+/// certified.
+#[derive(Debug, Clone)]
+pub struct DeltaCommit {
+    rows: Vec<(usize, Vec<usize>, f64)>,
+    attendance: Vec<usize>,
+    utility: f64,
+    dirty: Vec<usize>,
+}
+
+impl DeltaCertifier {
+    /// A full certification of `view` (exactly [`certify_plan`]) that
+    /// also remembers the plan as the baseline for delta certificates.
+    pub fn new(view: &dyn PlanView) -> (Certificate, Self) {
+        full_pass(view, None)
     }
-    cert
+
+    /// Certifies `view` by re-checking only the `touched` users (any
+    /// order, duplicates allowed) against the remembered baseline, plus
+    /// every event's bounds. `dif` is recomputed against the baseline
+    /// plan. See the type-level soundness condition.
+    pub fn certify(&self, view: &dyn PlanView, touched: &[usize]) -> (Certificate, DeltaCommit) {
+        let mut users: Vec<usize> = touched
+            .iter()
+            .chain(&self.dirty)
+            .copied()
+            .filter(|&u| u < view.n_users())
+            .collect();
+        users.sort_unstable();
+        users.dedup();
+        let mut cert = Certificate {
+            checked: true,
+            ..Certificate::default()
+        };
+        let mut attendance = self.attendance.clone();
+        attendance.resize(view.n_events(), 0);
+        let mut utility = self.utility;
+        let mut lost = 0;
+        let mut rows = Vec::with_capacity(users.len());
+        let mut dirty = Vec::new();
+        for u in users {
+            let hard_before = cert.hard_violations.len();
+            let (valid, own) = check_user(view, u, &mut cert);
+            if cert.hard_violations.len() > hard_before {
+                dirty.push(u);
+            }
+            let (old_row, old_own) = match self.rows.get(u) {
+                Some(row) => (row.as_slice(), self.user_utility[u]),
+                None => (&[][..], 0.0),
+            };
+            for &e in old_row {
+                if let Some(att) = attendance.get_mut(e) {
+                    *att -= 1;
+                }
+                if !valid.contains(&e) {
+                    lost += 1;
+                }
+            }
+            for &e in &valid {
+                attendance[e] += 1;
+            }
+            utility += own - old_own;
+            rows.push((u, valid, own));
+        }
+        check_bounds(view, &attendance, &mut cert);
+        cert.utility = utility;
+        cert.dif = Some(lost);
+        let commit = DeltaCommit {
+            rows,
+            attendance,
+            utility,
+            dirty,
+        };
+        (cert, commit)
+    }
+
+    /// Makes the plan a delta certificate checked the new baseline.
+    pub fn commit(&mut self, delta: DeltaCommit) {
+        for (u, row, own) in delta.rows {
+            if u >= self.rows.len() {
+                self.rows.resize(u + 1, Vec::new());
+                self.user_utility.resize(u + 1, 0.0);
+            }
+            self.rows[u] = row;
+            self.user_utility[u] = own;
+        }
+        self.attendance = delta.attendance;
+        self.utility = delta.utility;
+        self.dirty = delta.dirty;
+    }
 }
 
 /// Recomputes the IEP negative impact `dif(P, P′)` from raw assignment

@@ -81,7 +81,7 @@ fn solve_trace_reports_tables_and_perfetto_round_trip() {
     let perfetto = dir.join("trace.perfetto.json");
     let out = bin()
         .args(["report", "--trace", trace.to_str().unwrap()])
-        .args(["--perfetto", perfetto.to_str().unwrap(), "--top", "5"])
+        .args(["--perfetto", perfetto.to_str().unwrap(), "--top", "20"])
         .output()
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
@@ -90,7 +90,9 @@ fn solve_trace_reports_tables_and_perfetto_round_trip() {
     assert!(stdout.contains("stage"), "{stdout}");
     assert!(stdout.contains("self%"), "{stdout}");
     assert!(stdout.contains("critical-path stage"), "{stdout}");
-    // The gap pipeline's root span must appear in the tables.
+    // The gap pipeline's root span must appear in the tables. Its own
+    // (path) self time is small — the sequential stages under it are on
+    // the critical path too — so the tables must list every stage.
     assert!(stdout.contains("gap.pipeline"), "{stdout}");
 
     let doc: PerfettoDoc =
