@@ -13,6 +13,7 @@
 //! in \[4\] to check if the … users can attend other events", Algorithms
 //! 3–5), via the `users` restriction parameter.
 
+use crate::model::candidates::for_each_candidate;
 use crate::model::{EventId, Instance, UserId};
 use crate::plan::Plan;
 use epplan_solve::{DeadlineExceeded, DeadlineFlag};
@@ -115,23 +116,18 @@ fn fill_impl(
     // Full fills iterate the cached candidate arena — each user costs
     // O(candidates), not O(events), and the μ > 0 / single-event
     // affordability prefilters are already encoded in the rows.
-    // Restricted (repair-mode) fills instead scan the few listed users'
-    // dense rows with the same predicate applied inline: incremental
-    // ops mutate the instance, which invalidates the candidate cache,
-    // and rebuilding the whole arena to repair a handful of users would
-    // put an O(|U|·|E|) step on the serving hot path. The two paths
-    // admit identical candidate pairs, and heap pop order is a total
-    // order, so the fill itself is byte-for-byte the same either way.
+    // Restricted (repair-mode) fills instead walk the few listed users
+    // with the arena's own per-user derivation: incremental ops mutate
+    // the instance, which invalidates the candidate cache, and
+    // rebuilding the whole arena to repair a handful of users would put
+    // an O(|U|·|E|) step on the serving hot path.
     let mut heap: BinaryHeap<Candidate> = if users.is_some() {
         let mut out: Vec<Candidate> = Vec::new();
         for &u in &user_iter {
             if let Some(d) = deadline {
                 d.poll()?;
             }
-            instance.utilities().for_each_positive_in_row(u, |e, mu| {
-                if !crate::model::candidates::is_candidate(instance, u, e, mu) {
-                    return;
-                }
+            for_each_candidate(instance, u, |e, mu| {
                 if snapshot.contains(u, e) {
                     return;
                 }

@@ -99,8 +99,8 @@ impl GapBasedSolver {
     pub fn build_gap(&self, instance: &Instance) -> (GapInstance, Vec<EventId>) {
         let _sp = epplan_obs::span("solve.reduction");
         // Job list: ξ_j copies of each event, each tagged with the
-        // event it copies — the ξ copies share one candidate row in the
-        // sparse GAP layout (identical Theorem-2 columns).
+        // event it copies — the ξ copies share one candidate row of the
+        // GAP instance (identical Theorem-2 columns).
         let mut jobs: Vec<EventId> = Vec::new();
         let mut job_group: Vec<u32> = Vec::new();
         // epplan-lint: allow(sparse/dense-scan) — Theorem-2 job emission is one O(|E| + Σξ) pass during reduction build, not a per-user sweep

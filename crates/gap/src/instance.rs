@@ -1,51 +1,3 @@
-/// Compressed candidate storage shared by groups of identical jobs.
-///
-/// The GEPC reduction creates `ξ_j` *identical* copies of every event,
-/// so a dense machine-major matrix stores each event's candidate column
-/// `ξ_j` times — and stores every non-candidate pair besides. This
-/// layout keeps one machine-ascending candidate row per *group* (event)
-/// in a flat CSR arena, with `job_group` mapping each job (copy) to its
-/// row. Pairs absent from a row are forbidden.
-#[derive(Debug, Clone)]
-struct SparseLayout {
-    /// Job → candidate row (group) index; copies share a row.
-    job_group: Vec<u32>,
-    /// Row offsets into the arenas, `n_groups + 1` entries.
-    offsets: Vec<u32>,
-    /// Candidate machine ids, strictly ascending within a row.
-    machines: Vec<u32>,
-    /// Parallel to `machines`: assignment costs (finite).
-    costs: Vec<f64>,
-    /// Parallel to `machines`: processing times (finite, ≥ 0).
-    times: Vec<f64>,
-}
-
-impl SparseLayout {
-    /// Arena slice of candidate row `r` as `(machines, costs, times)`.
-    #[inline]
-    fn row(&self, r: usize) -> (&[u32], &[f64], &[f64]) {
-        let lo = self.offsets[r] as usize;
-        let hi = self.offsets[r + 1] as usize;
-        (
-            &self.machines[lo..hi],
-            &self.costs[lo..hi],
-            &self.times[lo..hi],
-        )
-    }
-
-    /// Arena index of `(machine, job)` if the pair is a candidate.
-    #[inline]
-    fn find(&self, machine: usize, job: usize) -> Option<usize> {
-        let r = self.job_group[job] as usize;
-        let lo = self.offsets[r] as usize;
-        let hi = self.offsets[r + 1] as usize;
-        self.machines[lo..hi]
-            .binary_search(&(machine as u32))
-            .ok()
-            .map(|k| lo + k)
-    }
-}
-
 /// A Generalized Assignment Problem instance.
 ///
 /// `n_machines` machines (users, in the GEPC reduction) and `n_jobs`
@@ -59,14 +11,14 @@ impl SparseLayout {
 /// e.g. zero utility or unaffordable travel): forbidden pairs have
 /// infinite cost and are excluded from every solver's search space.
 ///
-/// Storage is either a dense machine-major matrix (the small-instance
-/// constructors [`GapInstance::new`] / [`GapInstance::from_matrices`])
-/// or a per-group candidate-list CSR arena
-/// ([`GapInstance::from_group_candidates`]), which is what the ξ-GEPC
-/// reduction emits at scale: memory and solver work become
-/// O(candidates) instead of O(machines × jobs). Accessors dispatch on
-/// the layout; sparse instances are immutable after construction
-/// (`set`/`forbid` poison them).
+/// Storage is a flat CSR arena of candidate rows. The GEPC reduction
+/// creates `ξ_j` *identical* copies of every event, so rows are kept
+/// per *group* (event), machine-ascending, and `job_group` maps each
+/// job (copy) to its row; pairs absent from a row are forbidden.
+/// Memory and solver work are O(candidates), not O(machines × jobs).
+/// [`GapInstance::from_group_candidates`] is what the reduction emits;
+/// [`GapInstance::from_matrices`] builds the same arena from dense
+/// matrices, one row per job. Instances are immutable once built.
 ///
 /// Malformed construction (wrong capacity count, negative or NaN
 /// values, out-of-range indices) does not panic: the offending value is
@@ -77,77 +29,69 @@ impl SparseLayout {
 #[derive(Debug, Clone)]
 pub struct GapInstance {
     n_machines: usize,
-    n_jobs: usize,
-    /// Machine-major `n_machines × n_jobs`; `f64::INFINITY` = forbidden.
-    /// Empty when `sparse` carries the candidate arena.
-    costs: Vec<f64>,
-    times: Vec<f64>,
     capacity: Vec<f64>,
-    /// Candidate-list storage, when built sparsely.
-    sparse: Option<SparseLayout>,
+    /// Job → candidate row (group) index; copies share a row.
+    job_group: Vec<u32>,
+    /// Row offsets into the arenas, `n_groups + 1` entries.
+    offsets: Vec<u32>,
+    /// Candidate machine ids, strictly ascending within a row.
+    machines: Vec<u32>,
+    /// Parallel to `machines`: assignment costs (finite).
+    costs: Vec<f64>,
+    /// Parallel to `machines`: processing times (finite, ≥ 0).
+    times: Vec<f64>,
     /// First construction defect observed, if any.
     defect: Option<String>,
 }
 
-impl GapInstance {
-    /// Creates an instance with all costs/times zero and the given
-    /// capacities. A capacity vector of the wrong length, or one with
-    /// negative/non-finite entries, poisons the instance (see
-    /// [`GapInstance::defect`]).
-    pub fn new(n_machines: usize, n_jobs: usize, mut capacity: Vec<f64>) -> Self {
-        let mut defect = None;
-        if capacity.len() != n_machines {
-            defect = Some(format!(
-                "expected one capacity per machine ({n_machines}), got {}",
-                capacity.len()
-            ));
-            capacity.resize(n_machines, 0.0);
-        }
-        for (i, c) in capacity.iter_mut().enumerate() {
-            if !c.is_finite() || *c < 0.0 {
-                defect.get_or_insert_with(|| format!("machine {i} has invalid capacity {c}"));
-                *c = 0.0;
-            }
-        }
-        GapInstance {
-            n_machines,
-            n_jobs,
-            costs: vec![0.0; n_machines * n_jobs],
-            times: vec![0.0; n_machines * n_jobs],
-            capacity,
-            sparse: None,
-            defect,
+/// Checks one capacity per machine, each finite and non-negative.
+/// Offending entries are replaced by 0 (and a missing tail padded with
+/// 0) so the instance stays panic-free; the first defect is returned.
+fn validate_capacity(n_machines: usize, capacity: &mut Vec<f64>) -> Option<String> {
+    let mut defect = None;
+    if capacity.len() != n_machines {
+        defect = Some(format!(
+            "expected one capacity per machine ({n_machines}), got {}",
+            capacity.len()
+        ));
+        capacity.resize(n_machines, 0.0);
+    }
+    for (i, c) in capacity.iter_mut().enumerate() {
+        if !c.is_finite() || *c < 0.0 {
+            defect.get_or_insert_with(|| format!("machine {i} has invalid capacity {c}"));
+            *c = 0.0;
         }
     }
+    defect
+}
 
-    /// Builds a sparse instance from per-group candidate rows.
+impl GapInstance {
+    /// Builds an instance from per-group candidate rows.
     ///
     /// `job_group[j]` names the row of `rows` job `j` draws candidates
     /// from; jobs sharing a group (the ξ copies of one event) share one
     /// row. Each row lists `(machine, cost, time)` triples with
     /// strictly ascending machine ids; every pair *not* listed is
-    /// forbidden. Malformed input — an out-of-range group or machine, a
-    /// non-ascending row, a NaN/infinite cost, a negative or non-finite
-    /// time, or an arena larger than `u32::MAX` entries — poisons the
-    /// instance (see [`GapInstance::defect`]); offending entries are
-    /// dropped so the stored arena stays structurally consistent.
+    /// forbidden. Malformed input — a capacity vector of the wrong
+    /// length or with negative/non-finite entries, an out-of-range
+    /// group or machine, a non-ascending row, a NaN/infinite cost, a
+    /// negative or non-finite time, or an arena larger than `u32::MAX`
+    /// entries — poisons the instance (see [`GapInstance::defect`]);
+    /// offending entries are dropped so the stored arena stays
+    /// structurally consistent.
     pub fn from_group_candidates(
         n_machines: usize,
-        capacity: Vec<f64>,
-        job_group: Vec<u32>,
+        mut capacity: Vec<f64>,
+        mut job_group: Vec<u32>,
         rows: &[Vec<(u32, f64, f64)>],
     ) -> Self {
-        let n_jobs = job_group.len();
-        // Validate capacities via the dense constructor with zero jobs:
-        // allocating the machines × jobs matrices just to discard them
-        // would make the sparse path's peak memory O(machines × jobs)
-        // at construction (tens of GiB at |U| = 10^6).
-        let mut inst = GapInstance::new(n_machines, 0, capacity);
-        inst.n_jobs = n_jobs;
-        let mut job_group = job_group;
+        let mut defect = validate_capacity(n_machines, &mut capacity);
+        let mut poison = |message: String| {
+            defect.get_or_insert(message);
+        };
         for g in job_group.iter_mut() {
             if *g as usize >= rows.len() {
-                inst.poison(format!(
+                poison(format!(
                     "job group {g} out of range ({} candidate rows)",
                     rows.len()
                 ));
@@ -156,7 +100,7 @@ impl GapInstance {
         }
         let nnz: usize = rows.iter().map(Vec::len).sum();
         if nnz > u32::MAX as usize {
-            inst.poison(format!("candidate arena has {nnz} entries (u32 offsets)"));
+            poison(format!("candidate arena has {nnz} entries (u32 offsets)"));
         }
         let mut offsets = Vec::with_capacity(rows.len() + 1);
         let mut machines = Vec::with_capacity(nnz.min(u32::MAX as usize));
@@ -167,19 +111,19 @@ impl GapInstance {
             let mut prev: Option<u32> = None;
             for &(i, c, t) in row {
                 if i as usize >= n_machines {
-                    inst.poison(format!("row {r}: machine {i} out of range ({n_machines})"));
+                    poison(format!("row {r}: machine {i} out of range ({n_machines})"));
                     continue;
                 }
                 if prev.is_some_and(|p| i <= p) {
-                    inst.poison(format!("row {r}: machine ids not strictly ascending"));
+                    poison(format!("row {r}: machine ids not strictly ascending"));
                     continue;
                 }
                 if !c.is_finite() {
-                    inst.poison(format!("row {r}: machine {i} has non-finite cost {c}"));
+                    poison(format!("row {r}: machine {i} has non-finite cost {c}"));
                     continue;
                 }
                 if !t.is_finite() || t < 0.0 {
-                    inst.poison(format!("row {r}: machine {i} has invalid time {t}"));
+                    poison(format!("row {r}: machine {i} has invalid time {t}"));
                     continue;
                 }
                 if machines.len() == u32::MAX as usize {
@@ -192,57 +136,66 @@ impl GapInstance {
             }
             offsets.push(machines.len() as u32);
         }
-        if rows.is_empty() && n_jobs > 0 {
+        if rows.is_empty() && !job_group.is_empty() {
             // Every job's group was clamped to row 0 (and the instance
             // poisoned); give them an empty row to stay panic-free.
             offsets.push(0);
         }
-        inst.sparse = Some(SparseLayout {
+        GapInstance {
+            n_machines,
+            capacity,
             job_group,
             offsets,
             machines,
             costs,
             times,
-        });
-        inst
+            defect,
+        }
     }
 
-    /// Whether this instance uses the candidate-list (CSR) layout.
-    pub fn is_sparse(&self) -> bool {
-        self.sparse.is_some()
-    }
-
-    /// Builds an instance from dense matrices (machine-major rows).
-    /// Ragged matrices poison the instance.
+    /// Builds an instance from dense machine-major matrices, one
+    /// candidate row per job. A cost of `f64::INFINITY` marks a
+    /// forbidden pair, which is left out of the arena; any other
+    /// non-finite cost poisons. Ragged matrices, and every defect
+    /// [`GapInstance::from_group_candidates`] rejects, poison the
+    /// instance.
     pub fn from_matrices(costs: Vec<Vec<f64>>, times: Vec<Vec<f64>>, capacity: Vec<f64>) -> Self {
         let n_machines = costs.len();
         let n_jobs = costs.first().map_or(0, Vec::len);
-        let mut inst = GapInstance::new(n_machines, n_jobs, capacity);
+        let mut defect = None;
         if times.len() != n_machines {
-            inst.poison(format!(
+            defect = Some(format!(
                 "time matrix has {} rows for {n_machines} machines",
                 times.len()
             ));
         }
+        let mut rows: Vec<Vec<(u32, f64, f64)>> = vec![Vec::new(); n_jobs];
         for (i, cost_row) in costs.iter().enumerate() {
             if cost_row.len() != n_jobs {
-                inst.poison(format!("ragged cost matrix at machine {i}"));
+                defect.get_or_insert_with(|| format!("ragged cost matrix at machine {i}"));
             }
             if times.get(i).is_some_and(|row| row.len() != n_jobs) {
-                inst.poison(format!("ragged time matrix at machine {i}"));
+                defect.get_or_insert_with(|| format!("ragged time matrix at machine {i}"));
             }
-            for j in 0..n_jobs {
+            for (j, cands) in rows.iter_mut().enumerate() {
                 let c = cost_row.get(j).copied().unwrap_or(f64::INFINITY);
                 let t = times.get(i).and_then(|row| row.get(j)).copied().unwrap_or(0.0);
-                inst.set(i, j, c, t);
+                if c == f64::INFINITY {
+                    // Absent from the arena, but a bad time still poisons.
+                    if !t.is_finite() || t < 0.0 {
+                        defect.get_or_insert_with(|| {
+                            format!("pair ({i}, {j}) has invalid time {t}")
+                        });
+                    }
+                    continue;
+                }
+                cands.push((i as u32, c, t));
             }
         }
+        let job_group = (0..n_jobs as u32).collect();
+        let mut inst = GapInstance::from_group_candidates(n_machines, capacity, job_group, &rows);
+        inst.defect = defect.or(inst.defect);
         inst
-    }
-
-    /// Records the first construction defect; later ones are dropped.
-    fn poison(&mut self, message: String) {
-        self.defect.get_or_insert(message);
     }
 
     /// The first construction defect, if the instance is malformed.
@@ -251,63 +204,16 @@ impl GapInstance {
         self.defect.as_deref()
     }
 
+    /// Arena index of `(machine, job)` if the pair is a candidate.
     #[inline]
-    fn idx(&self, machine: usize, job: usize) -> usize {
-        debug_assert!(machine < self.n_machines && job < self.n_jobs);
-        machine * self.n_jobs + job
-    }
-
-    /// Sets the cost and time of a machine–job pair. Out-of-range
-    /// indices, NaN costs, and negative or non-finite times poison the
-    /// instance instead of panicking. Sparse instances are immutable:
-    /// copies share candidate rows, so a per-pair write is ill-defined
-    /// and poisons the instance.
-    pub fn set(&mut self, machine: usize, job: usize, cost: f64, mut time: f64) {
-        if self.sparse.is_some() {
-            self.poison(format!(
-                "set ({machine}, {job}) on an immutable sparse instance"
-            ));
-            return;
-        }
-        if machine >= self.n_machines || job >= self.n_jobs {
-            self.poison(format!(
-                "pair ({machine}, {job}) out of range ({} × {})",
-                self.n_machines, self.n_jobs
-            ));
-            return;
-        }
-        if cost.is_nan() {
-            self.poison(format!("pair ({machine}, {job}) has NaN cost"));
-            return;
-        }
-        if !time.is_finite() || time < 0.0 {
-            self.poison(format!("pair ({machine}, {job}) has invalid time {time}"));
-            time = 0.0;
-        }
-        let k = self.idx(machine, job);
-        self.costs[k] = cost;
-        self.times[k] = time;
-    }
-
-    /// Marks a pair as forbidden (never assignable). Out-of-range
-    /// indices poison the instance, as does a sparse instance (whose
-    /// forbidden pairs are fixed at construction).
-    pub fn forbid(&mut self, machine: usize, job: usize) {
-        if self.sparse.is_some() {
-            self.poison(format!(
-                "forbid ({machine}, {job}) on an immutable sparse instance"
-            ));
-            return;
-        }
-        if machine >= self.n_machines || job >= self.n_jobs {
-            self.poison(format!(
-                "forbid ({machine}, {job}) out of range ({} × {})",
-                self.n_machines, self.n_jobs
-            ));
-            return;
-        }
-        let k = self.idx(machine, job);
-        self.costs[k] = f64::INFINITY;
+    fn find(&self, machine: usize, job: usize) -> Option<usize> {
+        let r = self.job_group[job] as usize;
+        let lo = self.offsets[r] as usize;
+        let hi = self.offsets[r + 1] as usize;
+        self.machines[lo..hi]
+            .binary_search(&(machine as u32))
+            .ok()
+            .map(|k| lo + k)
     }
 
     /// Number of machines.
@@ -317,26 +223,20 @@ impl GapInstance {
 
     /// Number of jobs.
     pub fn n_jobs(&self) -> usize {
-        self.n_jobs
+        self.job_group.len()
     }
 
     /// Cost of assigning `job` to `machine` (infinite if forbidden).
     #[inline]
     pub fn cost(&self, machine: usize, job: usize) -> f64 {
-        match &self.sparse {
-            Some(s) => s.find(machine, job).map_or(f64::INFINITY, |k| s.costs[k]),
-            None => self.costs[self.idx(machine, job)],
-        }
+        self.find(machine, job).map_or(f64::INFINITY, |k| self.costs[k])
     }
 
-    /// Processing time of `job` on `machine` (0 for forbidden sparse
-    /// pairs, which no solver path consumes).
+    /// Processing time of `job` on `machine` (0 for forbidden pairs,
+    /// which no solver path consumes).
     #[inline]
     pub fn time(&self, machine: usize, job: usize) -> f64 {
-        match &self.sparse {
-            Some(s) => s.find(machine, job).map_or(0.0, |k| s.times[k]),
-            None => self.times[self.idx(machine, job)],
-        }
+        self.find(machine, job).map_or(0.0, |k| self.times[k])
     }
 
     /// Capacity of `machine`.
@@ -345,68 +245,43 @@ impl GapInstance {
         self.capacity[machine]
     }
 
-    /// Whether the pair may be used: present (sparse) with finite cost,
-    /// and the job fits the machine's capacity on its own (`p_{i,j} ≤
-    /// T_i`, the standard GAP preprocessing step that the Shmoys–Tardos
-    /// analysis requires).
+    /// Whether the pair may be used: present in the arena, and the job
+    /// fits the machine's capacity on its own (`p_{i,j} ≤ T_i`, the
+    /// standard GAP preprocessing step that the Shmoys–Tardos analysis
+    /// requires).
     #[inline]
     pub fn allowed(&self, machine: usize, job: usize) -> bool {
-        match &self.sparse {
-            Some(s) => s.find(machine, job).is_some_and(|k| {
-                s.times[k] <= self.capacity[machine] + 1e-12
-            }),
-            None => {
-                let k = self.idx(machine, job);
-                self.costs[k].is_finite() && self.times[k] <= self.capacity[machine] + 1e-12
-            }
-        }
+        self.find(machine, job)
+            .is_some_and(|k| self.times[k] <= self.capacity[machine] + 1e-12)
     }
 
-    /// Number of distinct candidate rows: one per job group for sparse
-    /// instances (copies share a row), one per job for dense ones.
+    /// Number of distinct candidate rows (copies share a row).
     pub fn n_candidate_rows(&self) -> usize {
-        match &self.sparse {
-            Some(s) => s.offsets.len() - 1,
-            None => self.n_jobs,
-        }
+        self.offsets.len() - 1
     }
 
     /// The candidate row `job` draws its machines from.
     #[inline]
     pub fn candidate_row_of(&self, job: usize) -> usize {
-        match &self.sparse {
-            Some(s) => s.job_group[job] as usize,
-            None => job,
-        }
+        self.job_group[job] as usize
     }
 
     /// Allowed `(machine, cost, time)` triples of candidate row `row`,
-    /// machine-ascending. The workhorse of every solver's inner loop:
-    /// O(row candidates) on sparse instances, one pass over the
-    /// machines on dense ones.
+    /// machine-ascending: O(row candidates). The workhorse of every
+    /// solver's inner loop.
     pub fn row_allowed_triples(
         &self,
         row: usize,
     ) -> impl Iterator<Item = (usize, f64, f64)> + '_ {
-        let (machines, costs, times, dense_n) = match &self.sparse {
-            Some(s) => {
-                let (m, c, t) = s.row(row);
-                (m, c, t, 0)
-            }
-            None => (&[][..], &[][..], &[][..], self.n_machines),
-        };
-        let sparse_iter = machines
+        let lo = self.offsets[row] as usize;
+        let hi = self.offsets[row + 1] as usize;
+        self.machines[lo..hi]
             .iter()
-            .zip(costs.iter())
-            .zip(times.iter())
+            .zip(&self.costs[lo..hi])
+            .zip(&self.times[lo..hi])
             .filter_map(move |((&i, &c), &t)| {
-                (c.is_finite() && t <= self.capacity[i as usize] + 1e-12)
-                    .then_some((i as usize, c, t))
-            });
-        let dense_iter = (0..dense_n)
-            .filter(move |&i| self.allowed(i, row))
-            .map(move |i| (i, self.cost(i, row), self.time(i, row)));
-        dense_iter.chain(sparse_iter)
+                (t <= self.capacity[i as usize] + 1e-12).then_some((i as usize, c, t))
+            })
     }
 
     /// Allowed `(machine, cost, time)` triples for `job`,
@@ -420,39 +295,24 @@ impl GapInstance {
         self.allowed_triples(job).map(|(i, _, _)| i)
     }
 
-    /// Number of allowed machine–job pairs (the LP variable count).
-    /// O(candidates) on sparse instances, O(machines × jobs) dense.
+    /// Number of allowed machine–job pairs (the LP variable count), in
+    /// O(candidates): each row's allowed count, summed over jobs via
+    /// the group map (copies multiply their row's count).
     pub fn allowed_pairs_count(&self) -> usize {
-        match &self.sparse {
-            Some(s) => {
-                // Allowed count per row, then sum over jobs via the
-                // group map (copies multiply their row's count).
-                let per_row: Vec<usize> = (0..s.offsets.len() - 1)
-                    .map(|r| self.row_allowed_triples(r).count())
-                    .collect();
-                s.job_group.iter().map(|&g| per_row[g as usize]).sum()
-            }
-            None => (0..self.n_jobs)
-                .map(|j| self.allowed_machines(j).count())
-                .sum(),
-        }
+        let per_row: Vec<usize> = (0..self.n_candidate_rows())
+            .map(|r| self.row_allowed_triples(r).count())
+            .collect();
+        self.job_group.iter().map(|&g| per_row[g as usize]).sum()
     }
 
     /// Jobs with no allowed machine (unassignable under any policy).
     pub fn unassignable_jobs(&self) -> Vec<usize> {
-        match &self.sparse {
-            Some(s) => {
-                let row_ok: Vec<bool> = (0..s.offsets.len() - 1)
-                    .map(|r| self.row_allowed_triples(r).next().is_some())
-                    .collect();
-                (0..self.n_jobs)
-                    .filter(|&j| !row_ok[s.job_group[j] as usize])
-                    .collect()
-            }
-            None => (0..self.n_jobs)
-                .filter(|&j| self.allowed_machines(j).next().is_none())
-                .collect(),
-        }
+        let row_ok: Vec<bool> = (0..self.n_candidate_rows())
+            .map(|r| self.row_allowed_triples(r).next().is_some())
+            .collect();
+        (0..self.n_jobs())
+            .filter(|&j| !row_ok[self.job_group[j] as usize])
+            .collect()
     }
 
     /// Total cost of an assignment (ignoring `None` entries).
@@ -531,9 +391,13 @@ impl GapSolution {
 mod tests {
     use super::*;
 
+    fn tiny_costs() -> Vec<Vec<f64>> {
+        vec![vec![1.0, 2.0], vec![3.0, 0.5]]
+    }
+
     fn tiny() -> GapInstance {
         GapInstance::from_matrices(
-            vec![vec![1.0, 2.0], vec![3.0, 0.5]],
+            tiny_costs(),
             vec![vec![1.0, 1.0], vec![1.0, 1.0]],
             vec![2.0, 1.0],
         )
@@ -550,26 +414,35 @@ mod tests {
     }
 
     #[test]
-    fn forbid_excludes_pair() {
-        let mut g = tiny();
-        assert!(g.allowed(0, 0));
-        g.forbid(0, 0);
+    fn infinite_cost_excludes_pair() {
+        assert!(tiny().allowed(0, 0));
+        let g = GapInstance::from_matrices(
+            vec![vec![f64::INFINITY, 2.0], vec![3.0, 0.5]],
+            vec![vec![1.0, 1.0], vec![1.0, 1.0]],
+            vec![2.0, 1.0],
+        );
+        assert!(g.defect().is_none());
         assert!(!g.allowed(0, 0));
         assert_eq!(g.allowed_machines(0).collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]
     fn oversized_job_not_allowed() {
-        let mut g = tiny();
-        g.set(1, 0, 1.0, 5.0); // exceeds capacity 1.0
+        let g = GapInstance::from_matrices(
+            vec![vec![1.0, 2.0], vec![1.0, 0.5]],
+            vec![vec![1.0, 1.0], vec![5.0, 1.0]], // (1, 0) exceeds capacity 1.0
+            vec![2.0, 1.0],
+        );
         assert!(!g.allowed(1, 0));
     }
 
     #[test]
     fn unassignable_detection() {
-        let mut g = tiny();
-        g.forbid(0, 1);
-        g.forbid(1, 1);
+        let g = GapInstance::from_matrices(
+            vec![vec![1.0, f64::INFINITY], vec![3.0, f64::INFINITY]],
+            vec![vec![1.0, 1.0], vec![1.0, 1.0]],
+            vec![2.0, 1.0],
+        );
         assert_eq!(g.unassignable_jobs(), vec![1]);
     }
 
@@ -595,7 +468,11 @@ mod tests {
 
     #[test]
     fn wrong_capacity_count_poisons() {
-        let g = GapInstance::new(2, 2, vec![1.0]);
+        let g = GapInstance::from_matrices(
+            vec![vec![0.0; 2]; 2],
+            vec![vec![0.0; 2]; 2],
+            vec![1.0],
+        );
         assert!(g.defect().is_some_and(|d| d.contains("capacity")));
         // The instance is still usable without panicking.
         assert_eq!(g.capacity(1), 0.0);
@@ -603,26 +480,101 @@ mod tests {
 
     #[test]
     fn invalid_values_poison() {
-        let mut g = tiny();
-        assert!(g.defect().is_none());
-        g.set(0, 0, f64::NAN, 1.0);
-        assert!(g.defect().is_some_and(|d| d.contains("NaN")));
-        let mut g = tiny();
-        g.set(5, 0, 1.0, 1.0);
-        assert!(g.defect().is_some_and(|d| d.contains("out of range")));
-        let mut g = tiny();
-        g.set(0, 0, 1.0, -2.0);
-        assert!(g.defect().is_some_and(|d| d.contains("invalid time")));
-        let mut g = tiny();
-        g.forbid(0, 9);
-        assert!(g.defect().is_some());
-        let g = GapInstance::new(1, 1, vec![-3.0]);
-        assert!(g.defect().is_some_and(|d| d.contains("invalid capacity")));
+        assert!(tiny().defect().is_none());
+        let with = |costs: Vec<Vec<f64>>, times: Vec<Vec<f64>>, caps: Vec<f64>| {
+            GapInstance::from_matrices(costs, times, caps)
+                .defect()
+                .map(str::to_owned)
+                .unwrap_or_default()
+        };
+        let ok_times = || vec![vec![1.0, 1.0], vec![1.0, 1.0]];
+        let caps = || vec![2.0, 1.0];
+        // NaN and -∞ costs (only +∞ means "absent").
+        let d = with(vec![vec![f64::NAN, 2.0], vec![3.0, 0.5]], ok_times(), caps());
+        assert!(d.contains("cost"), "{d}");
+        let d = with(vec![vec![f64::NEG_INFINITY, 2.0], vec![3.0, 0.5]], ok_times(), caps());
+        assert!(d.contains("cost"), "{d}");
+        // Negative and non-finite times, on present and absent pairs.
+        let d = with(tiny_costs(), vec![vec![-2.0, 1.0], vec![1.0, 1.0]], caps());
+        assert!(d.contains("invalid time"), "{d}");
+        let d = with(tiny_costs(), vec![vec![1.0, f64::NAN], vec![1.0, 1.0]], caps());
+        assert!(d.contains("invalid time"), "{d}");
+        let d = with(
+            vec![vec![f64::INFINITY, 2.0], vec![3.0, 0.5]],
+            vec![vec![-1.0, 1.0], vec![1.0, 1.0]],
+            caps(),
+        );
+        assert!(d.contains("invalid time"), "{d}");
+        // Ragged rows and a missing time row.
+        let d = with(vec![vec![1.0, 2.0], vec![3.0]], ok_times(), caps());
+        assert!(d.contains("ragged cost"), "{d}");
+        let d = with(tiny_costs(), vec![vec![1.0, 1.0], vec![1.0]], caps());
+        assert!(d.contains("ragged time"), "{d}");
+        let d = with(tiny_costs(), vec![vec![1.0, 1.0]], caps());
+        assert!(d.contains("time matrix has 1 rows"), "{d}");
+        // Negative and non-finite capacities are neutralized to 0.
+        let d = with(tiny_costs(), ok_times(), vec![-3.0, 1.0]);
+        assert!(d.contains("invalid capacity"), "{d}");
+        let d = with(tiny_costs(), ok_times(), vec![2.0, f64::INFINITY]);
+        assert!(d.contains("invalid capacity"), "{d}");
+        let g = GapInstance::from_matrices(vec![vec![1.0]], vec![vec![1.0]], vec![-3.0]);
         assert_eq!(g.capacity(0), 0.0);
     }
 
-    /// Sparse twin of `tiny()`: two jobs sharing one candidate row plus
-    /// a third job with its own row.
+    #[test]
+    fn from_matrices_round_trips_every_pair() {
+        // 4 machines × 6 jobs: forbidden pairs, a job no machine may
+        // take (job 5), and present pairs that exceed their machine's
+        // capacity (machine 3, cap 0.5).
+        let inf = f64::INFINITY;
+        let costs = vec![
+            vec![1.0, inf, 0.5, 2.0, inf, inf],
+            vec![inf, 3.0, 0.25, inf, 1.5, inf],
+            vec![0.0, 0.0, inf, 4.0, inf, inf],
+            vec![2.5, 1.0, 1.0, inf, 0.75, 1.0],
+        ];
+        let times = vec![
+            vec![1.0, 9.0, 2.0, 0.5, 1.0, 1.0],
+            vec![1.0, 1.0, 3.0, 1.0, 2.0, 1.0],
+            vec![0.5, 2.0, 1.0, 1.0, 1.0, 1.0],
+            vec![0.5, 0.25, 1.0, 1.0, 0.5, 2.0],
+        ];
+        let caps = vec![2.0, 3.0, 1.0, 0.5];
+        let g = GapInstance::from_matrices(costs.clone(), times.clone(), caps.clone());
+        assert!(g.defect().is_none());
+        assert_eq!((g.n_machines(), g.n_jobs()), (4, 6));
+        assert_eq!(g.n_candidate_rows(), 6);
+        let mut pairs = 0;
+        let mut unassignable = Vec::new();
+        for j in 0..6 {
+            assert_eq!(g.candidate_row_of(j), j);
+            let mut any = false;
+            for i in 0..4 {
+                let (c, t) = (costs[i][j], times[i][j]);
+                let allowed = c.is_finite() && t <= caps[i] + 1e-12;
+                assert_eq!(g.allowed(i, j), allowed, "({i},{j})");
+                if c.is_finite() {
+                    assert_eq!(g.cost(i, j), c, "({i},{j})");
+                    assert_eq!(g.time(i, j), t, "({i},{j})");
+                } else {
+                    // Absent from the arena.
+                    assert_eq!(g.cost(i, j), inf, "({i},{j})");
+                    assert_eq!(g.time(i, j), 0.0, "({i},{j})");
+                }
+                pairs += usize::from(allowed);
+                any |= allowed;
+            }
+            if !any {
+                unassignable.push(j);
+            }
+        }
+        assert_eq!(g.allowed_pairs_count(), pairs);
+        assert_eq!(g.unassignable_jobs(), unassignable);
+        assert_eq!(unassignable, vec![5]);
+    }
+
+    /// Two jobs sharing one candidate row plus a third job with its own
+    /// row.
     fn sparse_tiny() -> GapInstance {
         GapInstance::from_group_candidates(
             3,
@@ -638,7 +590,6 @@ mod tests {
     #[test]
     fn sparse_accessors_match_candidate_rows() {
         let g = sparse_tiny();
-        assert!(g.is_sparse());
         assert!(g.defect().is_none());
         assert_eq!(g.n_machines(), 3);
         assert_eq!(g.n_jobs(), 3);
@@ -678,32 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_matches_dense_semantics() {
-        // The same instance built both ways answers identically.
-        let sparse = sparse_tiny();
-        let mut dense = GapInstance::new(3, 3, vec![2.0, 1.0, 4.0]);
-        for j in 0..2 {
-            dense.set(0, j, 1.0, 1.0);
-            dense.set(2, j, 0.5, 3.0);
-            dense.forbid(1, j);
-        }
-        dense.set(1, 2, 2.0, 1.0);
-        dense.forbid(0, 2);
-        dense.forbid(2, 2);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(sparse.allowed(i, j), dense.allowed(i, j), "({i},{j})");
-                if sparse.allowed(i, j) {
-                    assert_eq!(sparse.cost(i, j), dense.cost(i, j));
-                    assert_eq!(sparse.time(i, j), dense.time(i, j));
-                }
-            }
-        }
-        assert_eq!(sparse.allowed_pairs_count(), dense.allowed_pairs_count());
-        assert_eq!(sparse.unassignable_jobs(), dense.unassignable_jobs());
-    }
-
-    #[test]
     fn sparse_unassignable_jobs_via_group_rows() {
         let g = GapInstance::from_group_candidates(
             2,
@@ -712,16 +637,6 @@ mod tests {
             &[vec![(0, 0.3, 1.0)], vec![]],
         );
         assert_eq!(g.unassignable_jobs(), vec![1]);
-    }
-
-    #[test]
-    fn sparse_is_immutable() {
-        let mut g = sparse_tiny();
-        g.set(0, 0, 0.5, 1.0);
-        assert!(g.defect().is_some_and(|d| d.contains("immutable")));
-        let mut g = sparse_tiny();
-        g.forbid(0, 0);
-        assert!(g.defect().is_some_and(|d| d.contains("immutable")));
     }
 
     #[test]

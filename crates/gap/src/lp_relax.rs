@@ -42,10 +42,11 @@ pub fn lp_relaxation_with_budget(
     let unassignable = inst.unassignable_jobs();
 
     // Sparse variable numbering over allowed pairs only, machine-major
-    // ((i, j) ascending) — the same order the old dense `i × j` scan
-    // enumerated, so the simplex sees identical columns and pivots. The
-    // pairs come out of the candidate iterator job-major; one sort on
-    // the integer key restores machine-major without ever allocating an
+    // ((i, j) ascending) — the order a full `i × j` scan enumerates, so
+    // the simplex's columns and pivots are fixed by the pairs alone,
+    // not by how the instance groups its candidate rows. The pairs
+    // come out of the candidate iterator job-major; one sort on the
+    // integer key restores machine-major without ever allocating an
     // m × n table.
     let mut pairs: Vec<(usize, usize, f64, f64)> = Vec::new();
     for j in 0..n {
@@ -205,7 +206,11 @@ mod tests {
 
     #[test]
     fn poisoned_instance_is_bad_input() {
-        let g = GapInstance::new(2, 2, vec![1.0]);
+        let g = GapInstance::from_matrices(
+            vec![vec![0.0; 2]; 2],
+            vec![vec![0.0; 2]; 2],
+            vec![1.0],
+        );
         let err = lp_relaxation(&g).unwrap_err();
         assert_eq!(err.kind, FailureKind::BadInput);
         assert_eq!(err.stage, "gap.lp_relax");

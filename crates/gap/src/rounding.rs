@@ -84,8 +84,9 @@ pub fn round_shmoys_tardos_with_budget(
 
     // Gather every (machine, job, fraction) contact job-major (support
     // lists are machine-ascending), then stable-sort by machine: each
-    // machine's run keeps ascending job order — the same scan order the
-    // dense layout produced — in O(nnz log nnz) instead of O(m·n).
+    // machine's run keeps ascending job order — the order a full
+    // machine-major `i × j` scan would visit — in O(nnz log nnz)
+    // instead of O(m·n).
     let mut triples: Vec<(usize, usize, f64)> = Vec::new();
     for &j in &active {
         for &(i, v) in frac.support(j) {
@@ -97,8 +98,8 @@ pub fn round_shmoys_tardos_with_budget(
     triples.sort_by_key(|&(i, _, _)| i);
 
     // Build slots machine by machine (runs of equal machine in the
-    // sorted triples, ascending — the dense `0..m` order minus the
-    // machines with no mass).
+    // sorted triples, ascending — the `0..m` order minus the machines
+    // with no mass).
     let mut slot_machine: Vec<usize> = Vec::new(); // slot id → machine
     let mut edges: Vec<(usize, usize, f64)> = Vec::new(); // (job idx, slot id, cost)
     let mut pos = 0usize;
@@ -313,12 +314,11 @@ mod tests {
 
     #[test]
     fn unassigned_jobs_stay_unassigned() {
-        let mut g = GapInstance::from_matrices(
-            vec![vec![1.0, 1.0]],
+        let g = GapInstance::from_matrices(
+            vec![vec![f64::INFINITY, 1.0]],
             vec![vec![1.0, 1.0]],
             vec![5.0],
         );
-        g.forbid(0, 0);
         let x = lp_relaxation(&g).unwrap();
         assert_eq!(x.unassigned, vec![0]);
         let s = round_shmoys_tardos(&g, &x).unwrap();
@@ -328,7 +328,7 @@ mod tests {
 
     #[test]
     fn empty_instance() {
-        let g = GapInstance::new(1, 0, vec![1.0]);
+        let g = GapInstance::from_matrices(vec![vec![]], vec![vec![]], vec![1.0]);
         let x = lp_relaxation(&g).unwrap();
         let s = round_shmoys_tardos(&g, &x).unwrap();
         assert!(s.assignment.is_empty());
@@ -337,7 +337,11 @@ mod tests {
 
     #[test]
     fn dimension_mismatch_is_bad_input() {
-        let g = GapInstance::new(2, 2, vec![1.0, 1.0]);
+        let g = GapInstance::from_matrices(
+            vec![vec![0.0; 2]; 2],
+            vec![vec![0.0; 2]; 2],
+            vec![1.0, 1.0],
+        );
         let x = FractionalSolution::zero(3, 2);
         let err = round_shmoys_tardos(&g, &x).unwrap_err();
         assert_eq!(err.kind, FailureKind::BadInput);
@@ -346,7 +350,11 @@ mod tests {
 
     #[test]
     fn poisoned_instance_is_bad_input() {
-        let g = GapInstance::new(2, 2, vec![-1.0, 1.0]);
+        let g = GapInstance::from_matrices(
+            vec![vec![0.0; 2]; 2],
+            vec![vec![0.0; 2]; 2],
+            vec![-1.0, 1.0],
+        );
         let x = FractionalSolution::zero(2, 2);
         let err = round_shmoys_tardos(&g, &x).unwrap_err();
         assert_eq!(err.kind, FailureKind::BadInput);

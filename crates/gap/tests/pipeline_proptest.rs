@@ -27,23 +27,22 @@ fn arb_instance() -> impl Strategy<Value = GapInstance> {
     (2usize..4, 2usize..7, 0u64..1_000_000).prop_map(|(m, n, seed)| {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let costs: Vec<Vec<f64>> = (0..m)
+        let mut costs: Vec<Vec<f64>> = (0..m)
             .map(|_| (0..n).map(|_| rng.gen_range(0.0..1.0)).collect())
             .collect();
         let times: Vec<Vec<f64>> = (0..m)
             .map(|_| (0..n).map(|_| rng.gen_range(0.2..2.0)).collect())
             .collect();
         let caps: Vec<f64> = (0..m).map(|_| rng.gen_range(0.5..4.0)).collect();
-        let mut inst = GapInstance::from_matrices(costs, times, caps);
         // Sprinkle forbidden pairs.
-        for i in 0..m {
-            for j in 0..n {
+        for row in costs.iter_mut() {
+            for c in row.iter_mut() {
                 if rng.gen_bool(0.15) {
-                    inst.forbid(i, j);
+                    *c = f64::INFINITY;
                 }
             }
         }
-        inst
+        GapInstance::from_matrices(costs, times, caps)
     })
 }
 
