@@ -18,18 +18,18 @@ use crate::model::{EventId, Instance, UserId};
 use crate::plan::Plan;
 use epplan_solve::{DeadlineExceeded, DeadlineFlag};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Users per parallel candidate-scan chunk (each user costs an `O(m)`
 /// pass over the events).
 const SCAN_MIN_CHUNK: usize = 16;
 
-/// Heap pops between deadline polls in the drain loop. Pops are cheap
-/// (a heap sift plus a few constraint checks), so a modest stride keeps
-/// the poll cost invisible while still bounding overshoot.
+/// Candidates visited between deadline polls in the scan. A visit is
+/// cheap (a few constraint checks), so a modest stride keeps the poll
+/// cost invisible while still bounding overshoot.
 const POLL_STRIDE: usize = 64;
 
-/// A max-heap key ordering candidate assignments by utility.
+/// A candidate assignment, totally ordered by utility; the fill visits
+/// candidates from greatest to least.
 #[derive(PartialEq)]
 struct Candidate {
     utility: f64,
@@ -61,7 +61,7 @@ impl Ord for Candidate {
 /// `users` when given (IEP repair mode); considers every user
 /// otherwise. Returns the number of assignments added.
 ///
-/// Candidates are validated lazily at pop time: adding assignments
+/// Candidates are validated lazily at visit time: adding assignments
 /// only ever tightens the constraints (more conflicts, less residual
 /// budget, less capacity), so a candidate that fails once can be
 /// discarded permanently.
@@ -76,10 +76,10 @@ pub fn fill_to_upper(instance: &Instance, plan: &mut Plan, users: Option<&[UserI
 /// [`fill_to_upper`] under a wall-clock deadline: the budget-governed
 /// entry point for anytime solvers and per-op serving budgets. The flag
 /// is polled between per-user candidate scans and every
-/// [`POLL_STRIDE`] heap pops.
+/// [`POLL_STRIDE`] visited candidates.
 ///
 /// On `Err` the plan holds a *valid partial fill* — a prefix of the
-/// same deterministic descending-utility pop order the unbudgeted fill
+/// same deterministic descending-utility order the unbudgeted fill
 /// follows — and every hard constraint still holds. Callers that need
 /// all-or-nothing semantics should clone the plan first.
 pub fn try_fill_to_upper(
@@ -103,8 +103,8 @@ fn fill_impl(
     };
     // Candidate generation is a pure scan of the (frozen) plan, so it
     // fans out across user chunks. Candidates are pairwise distinct
-    // under `Candidate`'s total order, so the heap's pop sequence — and
-    // with it the fill — is independent of push order entirely.
+    // under `Candidate`'s total order, so the sorted sequence — and
+    // with it the fill — is independent of collection order entirely.
     let snapshot: &Plan = plan;
     if epplan_obs::metrics_enabled() {
         epplan_obs::gauge_set("filler.par.threads", epplan_par::threads() as f64);
@@ -121,7 +121,7 @@ fn fill_impl(
     // the instance, which invalidates the candidate cache, and
     // rebuilding the whole arena to repair a handful of users would put
     // an O(|U|·|E|) step on the serving hot path.
-    let mut heap: BinaryHeap<Candidate> = if users.is_some() {
+    let mut candidates: Vec<Candidate> = if users.is_some() {
         let mut out: Vec<Candidate> = Vec::new();
         for &u in &user_iter {
             if let Some(d) = deadline {
@@ -141,7 +141,7 @@ fn fill_impl(
                 });
             });
         }
-        BinaryHeap::from(out)
+        out
     } else {
         let cands = instance.candidates();
         // One poll per chunk: the flag latches on first expiry, so the
@@ -175,14 +175,14 @@ fn fill_impl(
         for part in parts {
             all.extend(part?);
         }
-        BinaryHeap::from(all)
+        all
     };
+    // Sorting in place keeps peak memory at the collected candidates.
+    candidates.sort_unstable_by(|a, b| b.cmp(a));
 
     let mut added = 0;
-    let mut pops = 0usize;
-    while let Some(c) = heap.pop() {
-        pops += 1;
-        if pops.is_multiple_of(POLL_STRIDE) {
+    for (i, c) in candidates.iter().enumerate() {
+        if (i + 1).is_multiple_of(POLL_STRIDE) {
             if let Some(d) = deadline {
                 d.poll()?;
             }

@@ -168,9 +168,11 @@ impl MinCostFlow {
     /// Like [`max_flow_min_cost`](Self::max_flow_min_cost) but with
     /// Johnson potentials: one Bellman–Ford pass absorbs the negative
     /// arc costs, after which every augmentation runs Dijkstra on
-    /// non-negative reduced costs. Asymptotically much faster on the
-    /// large slot graphs of the Shmoys–Tardos rounding (thousands of
-    /// unit augmentations), and exactly equivalent in its result.
+    /// non-negative reduced costs, stopping as soon as the sink is
+    /// settled. Asymptotically much faster on the large slot graphs of
+    /// the Shmoys–Tardos rounding (thousands of unit augmentations). It
+    /// returns the same flow value and minimum cost; the flow itself
+    /// may differ among equal-cost optima.
     pub fn max_flow_min_cost_fast(
         &mut self,
         s: usize,
@@ -232,17 +234,30 @@ impl MinCostFlow {
 
         let mut dist = vec![f64::INFINITY; self.n];
         let mut pre_edge = vec![u32::MAX; self.n];
+        // Heap keys rank `t` as 0 and every other node `v` as `v + 1`,
+        // so `t` pops first among equal distances and the search stops
+        // before settling its ties (see DESIGN.md §Min-cost flow).
+        let rank = |v: usize| if v == t { 0 } else { v + 1 };
+        let node = |r: usize| if r == 0 { t } else { r - 1 };
         let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(ordered::F64, usize)>> =
             std::collections::BinaryHeap::new();
+        let mut settled = 0u64;
         loop {
             dist.iter_mut().for_each(|d| *d = f64::INFINITY);
             pre_edge.iter_mut().for_each(|p| *p = u32::MAX);
             dist[s] = 0.0;
             heap.clear();
-            heap.push(std::cmp::Reverse((ordered::F64(0.0), s)));
-            while let Some(std::cmp::Reverse((ordered::F64(d), u))) = heap.pop() {
+            heap.push(std::cmp::Reverse((ordered::F64(0.0), rank(s))));
+            while let Some(std::cmp::Reverse((ordered::F64(d), r))) = heap.pop() {
+                let u = node(r);
                 if d > dist[u] + EPS {
                     continue;
+                }
+                settled += 1;
+                // Every node still unsettled lies at least `dist[t]`
+                // away, so the path to `t` is final.
+                if u == t {
+                    break;
                 }
                 for &eid in &self.adj[u] {
                     let e = &self.edges[eid as usize];
@@ -255,7 +270,7 @@ impl MinCostFlow {
                     if nd < dist[e.to] - EPS {
                         dist[e.to] = nd;
                         pre_edge[e.to] = eid;
-                        heap.push(std::cmp::Reverse((ordered::F64(nd), e.to)));
+                        heap.push(std::cmp::Reverse((ordered::F64(nd), rank(e.to))));
                     }
                 }
             }
@@ -268,6 +283,7 @@ impl MinCostFlow {
             if let Some(action) = epplan_fault::point("flow.mcmf.augment") {
                 sp.add_iters(guard.iterations());
                 epplan_obs::counter_add("flow.augmentations", guard.iterations());
+                epplan_obs::counter_add("flow.settled", settled);
                 return Err(SolveError::from_fault(STAGE, "flow.mcmf.augment", action)
                     .with_partial(total));
             }
@@ -277,13 +293,15 @@ impl MinCostFlow {
             if let Err(e) = guard.tick(STAGE) {
                 sp.add_iters(guard.iterations());
                 epplan_obs::counter_add("flow.augmentations", guard.iterations());
+                epplan_obs::counter_add("flow.settled", settled);
                 return Err(e.discard_partial().with_partial(total));
             }
-            // Update potentials with the new distances.
-            for v in 0..self.n {
-                if dist[v].is_finite() {
-                    pot[v] += dist[v];
-                }
+            // Update potentials with the distances capped at `t`'s:
+            // nodes the search left unsettled are at least that far,
+            // so every residual arc keeps a non-negative reduced cost.
+            let dt = dist[t];
+            for (p, &d) in pot.iter_mut().zip(&dist) {
+                *p += d.min(dt);
             }
             // Bottleneck and augment.
             let mut push = f64::INFINITY;
@@ -307,6 +325,7 @@ impl MinCostFlow {
         }
         sp.add_iters(guard.iterations());
         epplan_obs::counter_add("flow.augmentations", guard.iterations());
+        epplan_obs::counter_add("flow.settled", settled);
         Ok(total)
     }
 

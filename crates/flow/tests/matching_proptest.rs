@@ -150,3 +150,90 @@ proptest! {
             "cost {} vs {}", slow.cost, fast.cost);
     }
 }
+
+/// A slot graph as the Shmoys–Tardos rounding builds it: source →
+/// jobs (cap 1) → slots (cap 1 per job–slot edge) → sink (cap 1), with
+/// each job adjacent to a few slots. Costs take one of five quantized
+/// values, so equal-cost paths — and with them ties at the sink — are
+/// common, as with Jaccard μ.
+fn slot_graph(
+    n_jobs: usize,
+    n_slots: usize,
+    seed: u64,
+) -> (epplan_flow::MinCostFlow, usize, usize) {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let s = 0;
+    let job = |j: usize| 1 + j;
+    let slot = |k: usize| 1 + n_jobs + k;
+    let t = 1 + n_jobs + n_slots;
+    let mut g = epplan_flow::MinCostFlow::new(t + 1);
+    for j in 0..n_jobs {
+        g.add_edge(s, job(j), 1.0, 0.0);
+    }
+    for k in 0..n_slots {
+        g.add_edge(slot(k), t, 1.0, 0.0);
+    }
+    for j in 0..n_jobs {
+        let degree = rng.gen_range(1..=6usize.min(n_slots));
+        let first = rng.gen_range(0..n_slots);
+        for d in 0..degree {
+            let cost = rng.gen_range(0..5) as f64 / 4.0 - 0.5;
+            g.add_edge(job(j), slot((first + d) % n_slots), 1.0, cost);
+        }
+    }
+    (g, s, t)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// The sink-stopping Dijkstra agrees with SPFA on flow value and
+    /// cost, and leaves a residual graph with no negative cycle.
+    #[test]
+    fn fast_and_slow_mcmf_agree_on_slot_graphs(
+        n_jobs in 1usize..=30,
+        n_slots in 1usize..=40,
+        seed in 0u64..50_000,
+    ) {
+        let (mut slow_g, s, t) = slot_graph(n_jobs, n_slots, seed);
+        let (mut fast_g, _, _) = slot_graph(n_jobs, n_slots, seed);
+        let slow = slow_g.max_flow_min_cost(s, t).unwrap();
+        let fast = fast_g.max_flow_min_cost_fast(s, t).unwrap();
+        prop_assert!((slow.flow - fast.flow).abs() < 1e-9,
+            "flow {} vs {}", slow.flow, fast.flow);
+        prop_assert!((slow.cost - fast.cost).abs() < 1e-9,
+            "cost {} vs {}", slow.cost, fast.cost);
+        prop_assert!(fast_g.verify_reduced_cost_optimality());
+    }
+
+    /// A fast solve cut short by an augmentation cap leaves a flow that
+    /// is cost-minimal for its value: it certifies, and SPFA limited to
+    /// the same value finds the same cost.
+    #[test]
+    fn capped_fast_mcmf_is_cost_optimal_for_its_value(
+        n_jobs in 1usize..=30,
+        n_slots in 1usize..=40,
+        cap in 1u64..=30,
+        seed in 0u64..50_000,
+    ) {
+        use epplan_solve::{FailureKind, SolveBudget};
+        let (mut fast_g, s, t) = slot_graph(n_jobs, n_slots, seed);
+        let partial = match fast_g
+            .max_flow_min_cost_fast_with_budget(s, t, SolveBudget::from_iteration_cap(cap))
+        {
+            Ok(done) => done,
+            Err(e) => {
+                prop_assert_eq!(e.kind, FailureKind::BudgetExhausted);
+                e.partial.expect("an exhausted budget keeps the partial flow")
+            }
+        };
+        prop_assert!(fast_g.verify_reduced_cost_optimality());
+        let (mut slow_g, _, _) = slot_graph(n_jobs, n_slots, seed);
+        let slow = slow_g.flow_with_limit(s, t, partial.flow).unwrap();
+        prop_assert!((slow.flow - partial.flow).abs() < 1e-9,
+            "flow {} vs {}", slow.flow, partial.flow);
+        prop_assert!((slow.cost - partial.cost).abs() < 1e-9,
+            "cost {} vs {}", slow.cost, partial.cost);
+    }
+}

@@ -217,6 +217,7 @@ pub const SPAN_NAMES: &[&str] = &[
 pub const COUNTER_NAMES: &[&str] = &[
     "lp.iterations",
     "flow.augmentations",
+    "flow.settled",
     "packing.epochs",
     "packing.oracle_calls",
     "rounding.slots",

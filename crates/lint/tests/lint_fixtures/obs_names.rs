@@ -15,4 +15,5 @@ fn instrumented() {
     let _rp = epplan_obs::span("serve.repair");
     let _ce = epplan_obs::span("serve.certify");
     let _rb = epplan_obs::span("serve.rollback");
+    epplan_obs::counter_add("flow.settled", 9);
 }
